@@ -16,9 +16,7 @@ use std::time::Instant;
 
 use criterion::{black_box, criterion_group, BenchmarkId, Criterion, Throughput};
 
-use nochatter_core::harness::{
-    run_scenario_batch_with_scratch, run_scenario_with_scratch, GatherScenario,
-};
+use nochatter_core::harness::{run_scenario_with_scratch, GatherScenario};
 use nochatter_core::{BehaviorSlot, CommMode};
 use nochatter_explore::{Explo, Uxs};
 use nochatter_graph::dynamic::SeededEdgeFailure;
@@ -79,15 +77,13 @@ fn engine_walk(g: &Graph, agents: u32, rounds: u64, sensing: Sensing, scratch: &
 }
 
 /// The sparse-loop showcase workload: one walker circles the ring while
-/// seven agents sit in a wait far longer than the run. The dense loop polls
-/// all eight behaviors every round; the sparse loop polls the walker plus
-/// whichever waiter the walker's moves dirty that round, so most
-/// agent-rounds never touch a behavior at all. Outcomes are bitwise
-/// identical either way (pinned by `sparse_dense.rs`).
-fn engine_mixed_wait_walk(g: &Graph, dense: bool, rounds: u64, scratch: &mut EngineScratch) -> u64 {
+/// seven agents sit in a wait far longer than the run. A naive loop would
+/// poll all eight behaviors every round; the sparse loop polls the walker
+/// plus whichever waiter the walker's moves dirty that round, so most
+/// agent-rounds never touch a behavior at all. Returns the polls issued.
+fn engine_mixed_wait_walk(g: &Graph, rounds: u64, scratch: &mut EngineScratch) -> u64 {
     let n = g.node_count() as u32;
     let mut engine = Engine::new(g);
-    engine.set_dense_loop(dense);
     engine.add_agent(
         label(1),
         NodeId::new(0),
@@ -282,18 +278,12 @@ fn round_loop(c: &mut Criterion) {
         let mut scratch = EngineScratch::new();
         b.iter(|| engine_walk_dynamic(&g, &topo, 8, s.engine_rounds, &mut scratch))
     });
-    // The sparse-vs-dense loop pair on the mixed wait/walk workload (one
-    // walker, seven long waiters): same rounds, same outcome bytes, the
-    // delta is the per-round cost of polling parked behaviors the sparse
-    // loop skips.
+    // The mixed wait/walk workload (one walker, seven long waiters): the
+    // per-round cost when most agents are parked.
     group.throughput(Throughput::Elements(s.engine_rounds * 8));
     group.bench_function("mixed_wait_walk/a8", |b| {
         let mut scratch = EngineScratch::new();
-        b.iter(|| engine_mixed_wait_walk(&g, false, s.engine_rounds, &mut scratch))
-    });
-    group.bench_function("mixed_wait_walk_dense/a8", |b| {
-        let mut scratch = EngineScratch::new();
-        b.iter(|| engine_mixed_wait_walk(&g, true, s.engine_rounds, &mut scratch))
+        b.iter(|| engine_mixed_wait_walk(&g, s.engine_rounds, &mut scratch))
     });
     // The dispatch pair: the identical EXPLO workload stored as inline
     // enum slots vs one box per agent. The pair isolates the
@@ -341,8 +331,7 @@ fn round_loop(c: &mut Criterion) {
 }
 
 /// One campaign instance: the graph + team every `campaign_cells` cell
-/// shares, exactly what the lab runner's instance sub-key grouping holds
-/// fixed across a batch.
+/// shares, exactly what a campaign's instance sub-key holds fixed.
 fn campaign_instance() -> InitialConfiguration {
     InitialConfiguration::new(
         generators::ring(8),
@@ -353,8 +342,7 @@ fn campaign_instance() -> InitialConfiguration {
 
 /// The 8 execution-axis cells of one instance: 2 sensing modes × 2 wake
 /// schedules × {static, seeded edge-failure} — the cell mix a campaign
-/// sweeps per instance. All share the configuration and seed, so the
-/// batched pass builds the exploration-sequence corpus once for all 8.
+/// sweeps per instance. All share the configuration and seed.
 fn campaign_cells(cfg: &InitialConfiguration) -> Vec<GatherScenario<'_>> {
     let mut cells = Vec::new();
     for mode in [CommMode::Silent, CommMode::Talking] {
@@ -378,20 +366,14 @@ fn campaign_cells(cfg: &InitialConfiguration) -> Vec<GatherScenario<'_>> {
     cells
 }
 
-/// The batched-vs-solo campaign-cell pair: the same 8 cells through one
-/// `BatchEngine` pass (one setup, one interleaved loop) vs eight
-/// individual `run_scenario` calls (per-cell setup). Outcomes are bitwise
-/// identical (pinned by tests); the delta is the batching amortization the
-/// campaign runner banks on every instance group.
-fn campaign_cells_pair(c: &mut Criterion) {
+/// The 8 cells of one instance through eight `run_scenario` calls, one
+/// scratch threaded through all of them — how the campaign runner
+/// executes cells.
+fn campaign_cells_solo(c: &mut Criterion) {
     let cfg = campaign_instance();
     let cells = campaign_cells(&cfg);
     let mut group = c.benchmark_group("campaign_cells");
     group.throughput(Throughput::Elements(cells.len() as u64));
-    group.bench_function("batched/k8", |b| {
-        let mut scratch = EngineScratch::new();
-        b.iter(|| black_box(run_scenario_batch_with_scratch(&cells, &mut scratch)))
-    });
     group.bench_function("solo/k8", |b| {
         let mut scratch = EngineScratch::new();
         b.iter(|| {
@@ -569,10 +551,9 @@ fn emit_trajectory(quick: bool) {
         ),
         {
             // `units_per_iter` carries the hardware-independent fact: the
-            // behavior polls the run actually issues. The pair executes the
-            // byte-identical simulation, so the dense-to-sparse unit ratio
-            // *is* the poll reduction — wall-clock never inflates it.
-            let polled = engine_mixed_wait_walk(&ring, false, s.engine_rounds, &mut scratch);
+            // behavior polls the run actually issues, against the
+            // `engine_rounds * 8` a loop polling everyone would issue.
+            let polled = engine_mixed_wait_walk(&ring, s.engine_rounds, &mut scratch);
             measure(
                 "round_loop/mixed_wait_walk/a8",
                 s.engine_rounds,
@@ -580,20 +561,7 @@ fn emit_trajectory(quick: bool) {
                 polled,
                 s.iters,
                 || {
-                    engine_mixed_wait_walk(&ring, false, s.engine_rounds, &mut scratch);
-                },
-            )
-        },
-        {
-            let polled = engine_mixed_wait_walk(&ring, true, s.engine_rounds, &mut scratch);
-            measure(
-                "round_loop/mixed_wait_walk_dense/a8",
-                s.engine_rounds,
-                "polled_rounds",
-                polled,
-                s.iters,
-                || {
-                    engine_mixed_wait_walk(&ring, true, s.engine_rounds, &mut scratch);
+                    engine_mixed_wait_walk(&ring, s.engine_rounds, &mut scratch);
                 },
             )
         },
@@ -625,20 +593,6 @@ fn emit_trajectory(quick: bool) {
             s.iters,
             || explo_walk_boxed(&ring, &uxs, 8, &mut scratch),
         ),
-        {
-            let cfg = campaign_instance();
-            let cells = campaign_cells(&cfg);
-            measure(
-                "campaign_cells/batched/k8",
-                cells.len() as u64,
-                "cells",
-                cells.len() as u64,
-                s.iters,
-                || {
-                    black_box(run_scenario_batch_with_scratch(&cells, &mut scratch));
-                },
-            )
-        },
         {
             let cfg = campaign_instance();
             let cells = campaign_cells(&cfg);
@@ -810,7 +764,7 @@ criterion_group! {
         .sample_size(10)
         .warm_up_time(std::time::Duration::from_millis(300))
         .measurement_time(std::time::Duration::from_secs(2));
-    targets = csr_traversal, round_loop, campaign_cells_pair, campaign_cache_pair, hunt_evals_pair
+    targets = csr_traversal, round_loop, campaign_cells_solo, campaign_cache_pair, hunt_evals_pair
 }
 
 fn main() {

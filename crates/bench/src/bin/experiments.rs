@@ -1,5 +1,6 @@
-//! Regenerates the reproduction's tables and figures (see `DESIGN.md` §5)
-//! and runs declarative scenario campaigns.
+//! Regenerates the reproduction's tables and figures (the ids are those
+//! of `nochatter_bench::all_experiment_ids`) and runs declarative scenario
+//! campaigns.
 //!
 //! ```text
 //! experiments [--quick] [ids...]
@@ -25,8 +26,8 @@
 //! preset instances, maximizing the silent-failure objective, and writes
 //! `<name>.json`, `<name>.csv` and `BENCH_search.json` under `--out`
 //! (default `target/hunt`). Candidates fork from checkpoints of the
-//! incumbent's run by default; `--no-fork` (or `NOCHATTER_NO_FORK=1`)
-//! evaluates everything from scratch instead. Like the campaign reports,
+//! incumbent's run by default; `--no-fork` evaluates everything from
+//! scratch instead. Like the campaign reports,
 //! the witness reports are bit-for-bit identical for any worker count,
 //! with forking on or off; `--budget 0` records each instance's
 //! unperturbed baseline as its witness.
@@ -314,10 +315,10 @@ fn run_hunt_cli(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    // `--no-fork` (or NOCHATTER_NO_FORK=1) forces every candidate to run
-    // from scratch; the reports are byte-identical either way (CI diffs
-    // them), so the flag exists for exactly that check and for bisecting.
-    let fork = !parsed.no_fork && std::env::var_os("NOCHATTER_NO_FORK").is_none();
+    // `--no-fork` forces every candidate to run from scratch; the reports
+    // are byte-identical either way (CI diffs them), so the flag exists
+    // for exactly that check and for bisecting.
+    let fork = !parsed.no_fork;
     let report = run_search_with(&spec, parsed.workers, store.as_ref(), fork);
     for outcome in &report.outcomes {
         let verdict = if outcome.is_failure() {

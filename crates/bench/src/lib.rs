@@ -1,6 +1,5 @@
 //! The experiment harness: regenerates every table and figure of the
-//! reproduction (see `DESIGN.md` §5 for the experiment index and
-//! `EXPERIMENTS.md` for recorded results).
+//! reproduction ([`all_experiment_ids`] lists them in presentation order).
 //!
 //! The paper is a theory paper — its "evaluation" is Theorems 3.1, 4.1 and
 //! 5.1 plus complexity claims — so each experiment turns one theorem or

@@ -14,7 +14,7 @@
 //!   and benchmarks use so the true configuration sits at a controlled
 //!   index (the faithful dovetailed enumeration puts interesting
 //!   configurations astronomically deep, and the algorithm's running time
-//!   is exponential in the index — see `DESIGN.md` §3.5);
+//!   is exponential in the index);
 //! * [`ExhaustiveEnumeration`] — a genuine enumeration of *every*
 //!   configuration up to a size and label horizon, ordered by (size, graph,
 //!   agents, labels), demonstrating the faithful construction.

@@ -7,7 +7,7 @@
 //! token — the explorer "is with its token exactly in the rounds in which
 //! `CurCard > 1`".
 //!
-//! Our `EST+` (see `DESIGN.md` §3.3) walks every port sequence of length
+//! Our `EST+` walks every port sequence of length
 //! `n_h - 1` over `{0..n_h-2}` with backtracking — a leashed exploration
 //! that covers the whole graph whenever the hypothesis size is right — and
 //! resolves the paper's boolean contract with the position oracle: *true*

@@ -15,8 +15,7 @@
 //! wake every agent whose execution could interfere before the sensitive
 //! window (`StarCheck` → `EnsureCleanExploration` → `GraphSizeCheck`)
 //! opens. The durations come from the [`UnknownSchedule`], the
-//! calibrated counterpart of the paper's astronomically loose constants
-//! (see `DESIGN.md` §3.4).
+//! calibrated counterpart of the paper's astronomically loose constants.
 //!
 //! The algorithm is exponential by design — the paper presents it as a
 //! feasibility result — so runs are confined to small configuration
@@ -138,8 +137,8 @@ pub struct GatherUnknownUpperBound {
 
 impl GatherUnknownUpperBound {
     /// An agent with the given label starting at `start` on the real
-    /// `graph` (consumed only by the position oracle — see `DESIGN.md`
-    /// §3.3), testing hypotheses against the shared schedule.
+    /// `graph` (consumed only by the position oracle of `EST+`), testing
+    /// hypotheses against the shared schedule.
     pub fn new(
         label: Label,
         start: NodeId,

@@ -7,8 +7,9 @@
 //! walk (movement, timing, observability) fully faithful and compute the
 //! decision with a dead-reckoning oracle: the tracker holds the real graph
 //! and the agent's true start node, and replays every move the agent makes,
-//! so `EST+` can check coverage and cleanliness exactly (see `DESIGN.md`
-//! §3.3 for why this preserves the paper's behaviour).
+//! so `EST+` can check coverage and cleanliness exactly. Only the boolean
+//! answer comes from the oracle; every move, wait and observation of the
+//! walk is the agent's own.
 //!
 //! The tracker is shared (`Rc<RefCell<_>>`) between the top-level procedure
 //! (which records every move it yields) and the nested `EST+` (which reads

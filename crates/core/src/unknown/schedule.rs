@@ -5,7 +5,7 @@
 //! length `n_h^5 + 1`, hypothesis budget
 //! `T_h = 8·m_h^{2m_h^5}·(3S_h + 2T(BallTraversal(h)))` — chosen as *loose
 //! closed forms* for the analysis. The correctness proofs only use the
-//! dominance inequalities these values satisfy (see `DESIGN.md` §3.4).
+//! dominance inequalities these values satisfy.
 //! [`UnknownSchedule`] computes the smallest values satisfying the same
 //! inequalities, by exact recursion over the worst-case durations of our
 //! routines; [`paper_slow_wait`] and friends give the paper's formulas for

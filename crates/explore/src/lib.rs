@@ -12,7 +12,7 @@
 //! The paper cites Reingold's log-space construction for the existence of
 //! polynomial UXS. Reproducing that construction is neither practical nor
 //! necessary: what the algorithms consume is the *contract*, which this
-//! crate provides two ways (see `DESIGN.md` §3.1):
+//! crate provides two ways:
 //!
 //! * [`Uxs::exhaustive_universal`] — a sequence verified against **every**
 //!   connected port-labeled graph of size `<= n` (exhaustively enumerated),

@@ -142,10 +142,10 @@ pub struct RunRecord {
     /// Rounds skipped by the quiescence fast-forward.
     pub skipped_rounds: u64,
     /// Behavior polls actually executed — the sparse round loop's honest
-    /// cost denominator. The one counter allowed to differ between the
-    /// sparse and dense (`NOCHATTER_DENSE_LOOP=1`) loops, so it is kept
-    /// out of the deterministic per-record report bytes (JSON and CSV)
-    /// and surfaced only as a campaign-level trajectory aggregate.
+    /// cost denominator. An execution fact that any change to parking
+    /// moves, so it is kept out of the deterministic per-record report
+    /// bytes (JSON and CSV) and surfaced only as a campaign-level
+    /// trajectory aggregate.
     pub polled_agent_rounds: u64,
     /// Largest observed co-location.
     pub max_colocation: u32,

@@ -243,8 +243,7 @@ impl CampaignReport {
     }
 
     /// Executed engine loop iterations per wall-clock second (fast-forward
-    /// excluded — the rate of actual hot-path work; per-run counters are
-    /// identical whether cells ran solo or batched). `None` when the wall
+    /// excluded — the rate of actual hot-path work). `None` when the wall
     /// clock was too coarse.
     pub fn engine_iterations_per_sec(&self) -> Option<f64> {
         let total: u64 = self.records.iter().map(|r| r.engine_iterations).sum();

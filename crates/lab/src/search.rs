@@ -29,8 +29,8 @@
 //!   resumes each candidate from the deepest sound rung — or clones the
 //!   incumbent's outcome outright when the candidate diverges only after
 //!   the run already ended — instead of replaying the shared prefix.
-//!   With forking off (`NOCHATTER_NO_FORK`, `--no-fork`), batches flow
-//!   through `run_scenario_batch_with_scratch` unchanged.
+//!   With forking off (`--no-fork`), every candidate runs from round 0
+//!   through `run_scenario_batch_with_scratch`.
 //! * **Determinism at any worker count, fork mode and cache state.** The
 //!   per-instance search is sequential and seeded from the instance's
 //!   derived seed; instances shard over the work-stealing scheduler with
@@ -580,14 +580,7 @@ pub fn run_search(spec: &SearchSpec, workers: usize) -> SearchReport {
 /// identical, so the walk — and with it the deterministic reports — is
 /// unchanged by the cache state.
 pub fn run_search_cached(spec: &SearchSpec, workers: usize, store: Option<&Store>) -> SearchReport {
-    run_search_with(spec, workers, store, fork_default())
-}
-
-/// Whether forked (checkpoint-resumed) evaluation is on by default:
-/// yes, unless the `NOCHATTER_NO_FORK` environment variable is set — the
-/// CI escape hatch behind the fork-on/off byte-identity check.
-fn fork_default() -> bool {
-    std::env::var_os("NOCHATTER_NO_FORK").is_none()
+    run_search_with(spec, workers, store, true)
 }
 
 /// [`run_search_cached`] with explicit control over forked evaluation.
@@ -821,7 +814,7 @@ struct EvalCounters {
 }
 
 /// The candidate [`GatherScenario`] of a decoded [`Scenario`] — the exact
-/// shape the batch path builds, so the solo forked path measures the same
+/// shape the unforked path runs, so the forked path measures the same
 /// run.
 fn gather_scenario(s: &Scenario) -> GatherScenario<'_> {
     GatherScenario {
@@ -959,7 +952,7 @@ struct ForkState {
     /// termination.
     terminal: Option<RunOutcome>,
     /// Set when forking hit a wall (a behavior declined to fork, an
-    /// engine error in the ladder): evaluation falls back to the batch
+    /// engine error in the ladder): evaluation falls back to the unforked
     /// path for the rest of this instance.
     disabled: bool,
 }
@@ -1137,8 +1130,8 @@ impl ForkState {
 /// deepest valid rung of the incumbent's checkpoint ladder — or, past the
 /// incumbent run's end, cloning its terminal outcome outright. Records
 /// land in their original slots, so the caller's selection scan (and with
-/// it the walk) is order-blind to the strategy. Without `fork`, the
-/// batch flows through `run_scenario_batch_with_scratch` as before.
+/// it the walk) is order-blind to the strategy. Without `fork`, every
+/// candidate runs from round 0 through `run_scenario_batch_with_scratch`.
 fn evaluate(
     candidates: &[Scenario],
     scratch: &mut EngineScratch,

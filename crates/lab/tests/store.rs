@@ -77,10 +77,8 @@ fn raw_fingerprint_is_pinned() {
 #[test]
 fn engine_fingerprint_is_pinned() {
     assert_eq!(STORE_FORMAT_VERSION, 2);
-    // Pinned under the default sparse round loop; the dense loop
-    // (`NOCHATTER_DENSE_LOOP=1`) fingerprints differently by design —
-    // the probes' `polled_agent_rounds` differ — so the two modes can
-    // never share cache entries.
+    // The probes' `polled_agent_rounds` are part of the digest, so a
+    // change to how often the round loop polls moves this pin too.
     assert_eq!(engine_fingerprint(), 0x00bb_a0fc_75ed_a404);
 }
 

@@ -7,8 +7,7 @@
 //! apart, they meet within `P(N, ℓ)` rounds of the later start, where `ℓ`
 //! bounds the bit length of the smaller parameter.
 //!
-//! Our construction (see `DESIGN.md` §3.2) is the classical label-schedule
-//! one: time is divided into blocks of `2·T(EXPLO(N))` rounds; the bits of
+//! Our construction is the classical label-schedule one: time is divided into blocks of `2·T(EXPLO(N))` rounds; the bits of
 //! `code(x_λ)` (each label bit doubled, then the terminator `01` — the
 //! prefix-free encoding of Proposition 2.1) select per block whether the
 //! agent is *active* (wait T/2, run `EXPLO(N)`, wait T/2) or *passive* (wait

@@ -60,7 +60,8 @@ pub enum AgentAct {
 /// The contract is what makes that sound — `min_wait` must hold under
 /// identical observations, and a violation acts *later* than promised,
 /// not just slower (`crates/sim/tests/promises.rs` property-tests every
-/// built-in combinator against it, and debug builds assert it live).
+/// built-in combinator against it, and debug builds assert it whenever
+/// the fast-forward re-polls a parked agent).
 pub trait AgentBehavior {
     /// Decides this round's action from the observation.
     fn on_round(&mut self, obs: &Obs) -> AgentAct;

@@ -133,32 +133,19 @@ impl<B> AgentArena<B> {
 
 /// Reusable per-run working memory for [`Engine::run_with_scratch`].
 ///
-/// One run needs per-node occupancy state and a few per-agent buffers; a
-/// fresh [`Engine::run`] allocates them every time, which dominates the
-/// cost of short runs executed in bulk (campaigns, benches, proptests).
-/// Threading one `EngineScratch` through repeated runs keeps every buffer's
-/// capacity, so steady-state execution allocates nothing.
+/// One run needs a few per-agent buffers; a fresh [`Engine::run`]
+/// allocates them every time, which dominates the cost of short runs
+/// executed in bulk (campaigns, benches, proptests). Threading one
+/// `EngineScratch` through repeated runs keeps every buffer's capacity.
 ///
-/// The scratch carries no semantic state between runs: a run leaves its
-/// dirt behind and the next run's internal `prepare` clears exactly the
-/// entries the previous run touched. Reusing one scratch across graphs of
-/// different sizes, after failed runs, across sensing modes or across
-/// engines with different behavior storage types is always safe —
-/// [`Engine::run`] and [`Engine::run_with_scratch`] produce bitwise
-/// identical [`RunOutcome`]s.
+/// The scratch carries no semantic state between runs: every entry a run
+/// reads it has written earlier in the same round. Reusing one scratch
+/// across graphs of different sizes, after failed runs, across sensing
+/// modes or across engines with different behavior storage types is
+/// always safe — [`Engine::run`] and [`Engine::run_with_scratch`] produce
+/// bitwise identical [`RunOutcome`]s.
 #[derive(Default)]
 pub struct EngineScratch {
-    /// Per-node occupant count (`CurCard` per node). All-zero outside the
-    /// occupancy phase except for nodes listed in `touched`.
-    card: Vec<u32>,
-    /// Per-node bucket of the labels present this round, in increasing
-    /// agent order. Empty outside the occupancy phase except for `touched`
-    /// nodes.
-    occupants: Vec<Vec<Label>>,
-    /// The nodes with at least one agent this round — the only entries of
-    /// `card`/`occupants` that need clearing, so the per-round wipe is
-    /// O(k), not O(n).
-    touched: Vec<u32>,
     /// This round's actions, co-indexed with the engine's agents.
     acts: Vec<Option<AgentAct>>,
     /// Sorted co-located labels, recycled through [`Obs::peer_labels`]
@@ -175,36 +162,15 @@ impl EngineScratch {
         Self::default()
     }
 
-    /// Clears whatever the previous run left behind and sizes the buffers
-    /// for a graph of `n` nodes and `agent_count` agents. O(touched) for
-    /// the clearing plus O(n) only when the node capacity grows.
-    ///
-    /// Buffers only ever grow: a batch interleaves runs of different sizes
-    /// through one scratch, so shrinking for a small run would thrash the
-    /// capacity a bigger in-flight run still needs. The round loop indexes
-    /// only its own `n` nodes and `agent_count` action slots, so surplus
-    /// capacity is invisible.
-    fn prepare(&mut self, n: usize, agent_count: usize) {
-        wipe_occupancy(&mut self.card, &mut self.occupants, &mut self.touched);
-        if self.card.len() < n {
-            self.card.resize(n, 0);
-            self.occupants.resize_with(n, Vec::new);
-        }
+    /// Sizes the action buffer for `agent_count` agents. Buffers only ever
+    /// grow: the round loop indexes only its own `agent_count` action
+    /// slots, so surplus capacity left by a bigger earlier run is
+    /// invisible.
+    fn prepare(&mut self, agent_count: usize) {
         if self.acts.len() < agent_count {
             self.acts.resize(agent_count, None);
         }
         self.labels.clear();
-    }
-}
-
-/// Restores the all-zero occupancy invariant by clearing exactly the node
-/// entries listed in `touched`. The one cleanup shared by
-/// [`EngineScratch::prepare`], the invalid-port early return and the dense
-/// loop's end-of-round wipe, so the paths cannot drift.
-fn wipe_occupancy(card: &mut [u32], occupants: &mut [Vec<Label>], touched: &mut Vec<u32>) {
-    for node in touched.drain(..) {
-        card[node as usize] = 0;
-        occupants[node as usize].clear();
     }
 }
 
@@ -216,10 +182,8 @@ struct RunStats {
     blocked_moves: u64,
     engine_iterations: u64,
     skipped_rounds: u64,
-    /// Behavior polls actually executed (`on_round` calls). The honest
-    /// denominator of the sparse round loop's win: the sparse and dense
-    /// loops agree on every other number bitwise, but the sparse loop
-    /// issues strictly fewer polls in mixed wait/walk regimes.
+    /// Behavior polls actually executed (`on_round` calls): the round
+    /// loop's cost denominator. A parked agent costs no polls.
     polled_agent_rounds: u64,
     max_colocation: u32,
     last_declaration_round: u64,
@@ -263,15 +227,6 @@ pub struct Engine<'g, V: TopologyView = Static, B: AgentBehavior = Box<dyn Agent
     sensing: Sensing,
     faults: FaultSpec,
     trace_capacity: Option<usize>,
-    /// Explicit round-loop selection; `None` defers to the
-    /// `NOCHATTER_DENSE_LOOP` environment variable at `begin`.
-    dense_loop: Option<bool>,
-}
-
-/// True when the `NOCHATTER_DENSE_LOOP` environment variable selects the
-/// dense reference loop (any non-empty value other than `0`).
-fn dense_loop_from_env() -> bool {
-    std::env::var("NOCHATTER_DENSE_LOOP").is_ok_and(|v| !v.is_empty() && v != "0")
 }
 
 impl<'g> Engine<'g> {
@@ -306,20 +261,7 @@ impl<'g, V: TopologyView, B: AgentBehavior> Engine<'g, V, B> {
             sensing: Sensing::Weak,
             faults: FaultSpec::None,
             trace_capacity: None,
-            dense_loop: None,
         }
-    }
-
-    /// Selects the round-loop implementation explicitly: `true` forces the
-    /// dense O(k)-per-iteration reference loop, `false` the sparse
-    /// event-driven one (the default). When unset, the
-    /// `NOCHATTER_DENSE_LOOP` environment variable decides at
-    /// [`ActiveRun::begin`] — the programmatic override exists so
-    /// same-process comparisons (benches, differential tests) never race
-    /// on process-global state. The two loops produce bitwise identical
-    /// runs; only [`RunOutcome::polled_agent_rounds`] tells them apart.
-    pub fn set_dense_loop(&mut self, dense: bool) {
-        self.dense_loop = Some(dense);
     }
 
     /// Adds an agent with the given label, start node and behavior.
@@ -484,11 +426,11 @@ fn remove_sorted(list: &mut Vec<u32>, i: u32) {
 
 /// Per-run state behind the sparse event-driven round loop.
 ///
-/// The dense reference loop pays O(k) per executed iteration: it scans
-/// every agent for due crashes and wakes, rebuilds occupancy from all k
-/// positions, and polls every executing behavior — even when all but one
-/// agent sit in a multi-thousand-round `CurCard`-stability wait. The
-/// sparse loop makes an executed iteration cost O(active + dirtied):
+/// A literal reading of the model pays O(k) per round: scan every agent
+/// for due crashes and wakes, rebuild occupancy from all k positions, and
+/// poll every executing behavior — even when all but one agent sit in a
+/// multi-thousand-round `CurCard`-stability wait. The sparse loop makes
+/// an executed iteration cost O(active + dirtied):
 ///
 /// * executing agents live on a sorted **active worklist** and only those
 ///   are polled; an agent whose behavior returns [`AgentAct::Wait`] with a
@@ -503,16 +445,17 @@ fn remove_sorted(list: &mut Vec<u32>, i: u32) {
 ///   (`next_wake_round`/`next_crash_round` in spirit): when no event is
 ///   due this round, the crash and wake phases disappear entirely.
 ///
-/// Determinism is preserved by construction: events fire in the dense
-/// loop's exact order (crashes, then adversary wakes, then visit wakes,
-/// all in ascending agent order; actions apply in ascending agent order),
-/// a parked behavior is caught up with [`AgentBehavior::note_skipped`]
-/// before its next poll (valid because parking guarantees the skipped
-/// observations were identical), and occupancy of dirtied nodes is
-/// sampled exactly when the dense loop would observe it — at the start of
-/// the next executed iteration, never mid-apply. Sparse and dense runs
-/// are bitwise identical on traces, outcomes and all report bytes; only
-/// [`RunOutcome::polled_agent_rounds`] differs.
+/// Every model-visible effect happens in the model's order: crashes, then
+/// adversary wakes, then visit wakes, all in ascending agent order;
+/// actions apply in ascending agent order. A parked behavior is caught up
+/// with [`AgentBehavior::note_skipped`] before its next poll (valid
+/// because parking guarantees the skipped observations were identical),
+/// and occupancy of dirtied nodes is sampled when the model first
+/// observes it — at the start of the next executed iteration, never
+/// mid-apply. `crates/sim/tests/reference.rs` pins the loop against a
+/// naive interpreter that polls every executing agent every round: they
+/// agree on every model-visible field and trace event, and the sparse
+/// loop never polls more.
 struct SparseState {
     /// Sorted indices of executing agents polled every executed iteration.
     active: Vec<u32>,
@@ -534,16 +477,16 @@ struct SparseState {
     /// triggers the expiry scan.
     next_deadline: u64,
     /// Incremental per-node occupant count (every body: dormant, declared
-    /// and crashed included, exactly like the dense occupancy phase).
+    /// and crashed included — the model counts bodies, not executions).
     card: Vec<u32>,
     /// Incremental per-node occupant labels (traditional sensing only;
-    /// unsorted — the poll sorts its lent buffer, like the dense loop).
+    /// unsorted — the poll sorts its lent buffer).
     occupants: Vec<Vec<Label>>,
     /// Both endpoints of every move applied in the previous executed
     /// iteration (duplicates allowed). Processed — occupancy sampling,
     /// visit wakes, unparking — at the start of the next executed
-    /// iteration, which is exactly when the dense loop first observes the
-    /// new positions.
+    /// iteration, which is exactly when the model first observes the new
+    /// positions.
     dirty: Vec<u32>,
     /// `(wake_round, agent)` for every finite adversary wake, sorted; the
     /// cursor makes the wake phase vanish when no wake is due.
@@ -553,8 +496,8 @@ struct SparseState {
     /// makes the crash phase vanish when no crash is due.
     crashes: Vec<(u64, u32)>,
     crash_cursor: usize,
-    /// Agents not yet in a terminal phase (the terminal check without the
-    /// dense all-k scan).
+    /// Agents not yet in a terminal phase (the terminal check without an
+    /// all-k scan).
     nonterminal: usize,
     /// Snapshot of `active` taken by the poll phase; the apply phase
     /// iterates it so worklist edits mid-apply cannot skew iteration.
@@ -682,10 +625,10 @@ impl SparseState {
     }
 }
 
-/// Polls agent `i` against the current occupancy: one dense-identical
-/// observation build plus `on_round` call, shared by the sparse poll phase
-/// and the quiescence fast-forward's parked-agent catch-up. The caller
-/// accounts the poll and resolves the phase transition.
+/// Polls agent `i` against the current occupancy: one observation build
+/// plus `on_round` call, shared by the poll phase and the quiescence
+/// fast-forward's parked-agent catch-up. The caller accounts the poll and
+/// resolves the phase transition.
 #[allow(clippy::too_many_arguments)]
 fn poll_agent<B: AgentBehavior>(
     graph: &Graph,
@@ -704,7 +647,7 @@ fn poll_agent<B: AgentBehavior>(
         Sensing::Traditional => {
             // The node's bucket lists everyone present; fill and sort the
             // one scratch buffer, and lend it to the observation instead
-            // of allocating (identical bytes to the dense loop's poll).
+            // of allocating.
             label_buf.clear();
             label_buf.extend_from_slice(&occupants[pos.index()]);
             label_buf.sort_unstable();
@@ -746,15 +689,7 @@ enum SparseStep {
 /// (one simulated round plus that round's quiescence fast-forward) against
 /// a borrowed [`EngineScratch`], and returns the run's result once it
 /// terminates. [`Engine::run_with_scratch`] is a trivial `begin`/`step`
-/// driver; [`crate::BatchEngine`] interleaves the steps of many runs
-/// through one loop. Both paths execute the *same* code on identical
-/// per-run state, so batched outcomes are bitwise identical to solo ones
-/// by construction.
-///
-/// Shared-scratch discipline: a step leaves `card`/`occupants` all-zero
-/// (the end-of-round wipe drains `touched`, including on the invalid-port
-/// error path), so steps of different runs can interleave through one
-/// scratch in any order.
+/// driver.
 ///
 /// When the behavior storage is forkable ([`ForkableBehavior`]), a run can
 /// additionally be snapshotted mid-flight ([`ActiveRun::checkpoint`]) and
@@ -777,21 +712,7 @@ pub struct ActiveRun<'g, V: TopologyView, B: AgentBehavior> {
     /// Occupancy buckets feed only the traditional-sensing peer-label
     /// observation; the silent model pays nothing for them.
     bucket_occupants: bool,
-    /// `Some` = the sparse event-driven loop (the default); `None` = the
-    /// dense O(k) reference loop (`NOCHATTER_DENSE_LOOP=1` or
-    /// [`Engine::set_dense_loop`]). Both produce bitwise identical runs.
-    sparse: Option<SparseState>,
-    /// Debug-build contract net for the dense reference loop: per agent,
-    /// the absolute round through which its last [`AgentBehavior::min_wait`]
-    /// promised further `Wait`s, plus the observation signature (degree,
-    /// cur_card, entry_port) the promise was made under. A poll inside the
-    /// promised window with an identical signature must yield `Wait` —
-    /// catching unsound `min_wait` implementations at the source instead
-    /// of as a report byte-diff three layers up. Weak sensing only (a
-    /// scalar signature cannot capture traditional peer labels).
-    #[cfg(debug_assertions)]
-    #[allow(clippy::type_complexity)]
-    promise: Vec<(u64, Option<(u32, u32, Option<Port>)>)>,
+    sparse: SparseState,
     round: u64,
     max_rounds: u64,
 }
@@ -819,16 +740,13 @@ pub struct RunCheckpoint<B> {
     behaviors: Vec<B>,
     stats: RunStats,
     trace: Option<Trace>,
-    /// Sparse-loop park state, captured verbatim so a sparse-resumed run
-    /// re-polls exactly when the checkpointed run would have (its
-    /// `polled_agent_rounds` stays poll-for-poll identical to stepping
-    /// from scratch). A dense checkpoint stores the all-unparked vectors.
+    /// Park state, captured verbatim so a resumed run re-polls exactly
+    /// when the checkpointed run would have (its `polled_agent_rounds`
+    /// stays poll-for-poll identical to stepping from scratch).
     parked_at: Vec<u64>,
     park_deadline: Vec<u64>,
     /// Nodes dirtied by the last executed iteration, still pending their
-    /// start-of-round processing at `round`. A dense checkpoint stores
-    /// every occupied node — the safe over-approximation that makes a
-    /// dense checkpoint resumable into a sparse run.
+    /// start-of-round processing at `round`.
     dirty: Vec<u32>,
     round: u64,
 }
@@ -857,7 +775,7 @@ impl<'g, V: TopologyView, B: AgentBehavior> ActiveRun<'g, V, B> {
     ) -> Result<Self, SimError> {
         engine.validate(&mut scratch.validate_order)?;
         let trace = engine.trace_capacity.map(Trace::with_capacity);
-        scratch.prepare(engine.graph.node_count(), engine.agents.len());
+        scratch.prepare(engine.agents.len());
         let bucket_occupants = engine.sensing == Sensing::Traditional;
         let pending_crashes = engine
             .agents
@@ -867,23 +785,18 @@ impl<'g, V: TopologyView, B: AgentBehavior> ActiveRun<'g, V, B> {
             .count();
         let resolved_crashes = engine.agents.crash_round.clone();
         let k = engine.agents.len();
-        let sparse = if engine.dense_loop.unwrap_or_else(dense_loop_from_env) {
-            None
-        } else {
-            // Seeding `dirty` with every start position makes the first
-            // executed iteration sample round-0 occupancy exactly like the
-            // dense loop does (validation rejects shared starts, so no
-            // spurious visit-wake can fire).
-            let dirty = engine.agents.pos.iter().map(|p| p.index() as u32).collect();
-            Some(build_sparse(
-                &engine.agents,
-                engine.graph.node_count(),
-                bucket_occupants,
-                vec![u64::MAX; k],
-                vec![u64::MAX; k],
-                dirty,
-            ))
-        };
+        // Seeding `dirty` with every start position makes the first
+        // executed iteration sample round-0 occupancy (validation rejects
+        // shared starts, so no spurious visit-wake can fire).
+        let dirty = engine.agents.pos.iter().map(|p| p.index() as u32).collect();
+        let sparse = build_sparse(
+            &engine.agents,
+            engine.graph.node_count(),
+            bucket_occupants,
+            vec![u64::MAX; k],
+            vec![u64::MAX; k],
+            dirty,
+        );
         Ok(ActiveRun {
             engine,
             trace,
@@ -892,16 +805,13 @@ impl<'g, V: TopologyView, B: AgentBehavior> ActiveRun<'g, V, B> {
             resolved_crashes,
             bucket_occupants,
             sparse,
-            #[cfg(debug_assertions)]
-            promise: vec![(0, None); k],
             round: 0,
             max_rounds,
         })
     }
 
-    /// The round this run's next [`ActiveRun::step`] will simulate. A
-    /// batch steps whichever runs are due at the globally smallest next
-    /// round; a value at or past the round limit means the next step only
+    /// The round this run's next [`ActiveRun::step`] will simulate; a
+    /// value at or past the round limit means the next step only
     /// finalizes the outcome.
     pub fn next_round(&self) -> u64 {
         self.round
@@ -910,387 +820,26 @@ impl<'g, V: TopologyView, B: AgentBehavior> ActiveRun<'g, V, B> {
     /// Executes one iteration of the round loop. Returns `Some` once the
     /// run has terminated (all agents terminal, round limit, or a protocol
     /// violation); the run must not be stepped again after that.
-    ///
-    /// Dispatches to the sparse event-driven loop (the default) or the
-    /// dense O(k) reference loop (`NOCHATTER_DENSE_LOOP=1` or
-    /// [`Engine::set_dense_loop`]); the two execute identical runs, bit
-    /// for bit, differing only in how many behavior polls they issue
-    /// ([`RunOutcome::polled_agent_rounds`]).
     pub fn step(&mut self, scratch: &mut EngineScratch) -> Option<Result<RunOutcome, SimError>> {
         if self.round >= self.max_rounds {
             return Some(Ok(self.finish(RunStatus::RoundLimit, self.max_rounds)));
         }
-        if self.sparse.is_some() {
-            match self.step_sparse(scratch) {
-                SparseStep::Continue => None,
-                SparseStep::Terminal(status, rounds) => Some(Ok(self.finish(status, rounds))),
-                SparseStep::Fail(e) => Some(Err(e)),
-            }
-        } else {
-            self.step_dense(scratch)
+        match self.step_sparse(scratch) {
+            SparseStep::Continue => None,
+            SparseStep::Terminal(status, rounds) => Some(Ok(self.finish(status, rounds))),
+            SparseStep::Fail(e) => Some(Err(e)),
         }
-    }
-
-    /// The dense O(k)-per-iteration reference round loop, kept verbatim as
-    /// the semantics baseline the sparse loop is pinned against
-    /// (`NOCHATTER_DENSE_LOOP=1` selects it).
-    fn step_dense(&mut self, scratch: &mut EngineScratch) -> Option<Result<RunOutcome, SimError>> {
-        let round = self.round;
-        let k = self.engine.agents.len();
-        let EngineScratch {
-            card,
-            occupants,
-            touched,
-            acts,
-            labels: label_buf,
-            ..
-        } = scratch;
-        // The scratch only ever grows (see `prepare`); this run uses
-        // exactly its own `k` action slots.
-        let acts = &mut acts[..k];
-
-        self.stats.engine_iterations += 1;
-        // Advance the topology to this round. Fast-forwarded rounds are
-        // skipped soundly: a view is a pure function of the round
-        // number, and edge presence is unobservable in a round where
-        // every active agent waits.
-        self.engine.view.begin_round(round);
-
-        // 0. Crash faults due this round. Crashes precede wake-ups: an
-        // agent crashing in its wake round never wakes. A crash round
-        // on an already-declared agent resolves to nothing — the
-        // declaration stands. Either way the entry is cleared, so
-        // `pending_crashes` reaches 0 and the branch disappears.
-        if self.pending_crashes > 0 {
-            for i in 0..k {
-                if self.engine.agents.crash_round[i] <= round {
-                    self.engine.agents.crash_round[i] = u64::MAX;
-                    self.pending_crashes -= 1;
-                    if self.engine.agents.phase[i] == AgentPhase::Declared {
-                        continue;
-                    }
-                    self.engine.agents.phase[i] = AgentPhase::Crashed;
-                    self.stats.last_crash_round = self.stats.last_crash_round.max(round);
-                    if let Some(t) = self.trace.as_mut() {
-                        t.push(TraceEvent::Crashed {
-                            agent: self.engine.agents.labels[i],
-                            round,
-                            node: self.engine.agents.pos[i],
-                        });
-                    }
-                }
-            }
-        }
-
-        // 1. Adversary wake-ups scheduled for this round.
-        for i in 0..k {
-            if self.engine.agents.phase[i] == AgentPhase::Dormant
-                && self.engine.agents.adversary_wake[i] <= round
-            {
-                self.engine.agents.phase[i] = AgentPhase::Active;
-                self.engine.agents.just_woken[i] = true;
-                if let Some(t) = self.trace.as_mut() {
-                    t.push(TraceEvent::Wake {
-                        agent: self.engine.agents.labels[i],
-                        round,
-                        by_visit: false,
-                    });
-                }
-            }
-        }
-
-        // 2. Occupancy, counting every agent physically present —
-        // dormant, declared and crashed bodies included (the paper's
-        // sensing model counts bodies, not executions). Only the ≤ k
-        // occupied nodes are bucketed and recorded in `touched`; the
-        // end-of-round wipe clears exactly those, so no phase of the
-        // loop scans all n nodes.
-        for (&pos, &label) in self
-            .engine
-            .agents
-            .pos
-            .iter()
-            .zip(self.engine.agents.labels.iter())
-        {
-            let node = pos.index();
-            if card[node] == 0 {
-                touched.push(node as u32);
-            }
-            card[node] += 1;
-            if self.bucket_occupants {
-                occupants[node].push(label);
-            }
-        }
-        for &node in touched.iter() {
-            self.stats.max_colocation = self.stats.max_colocation.max(card[node as usize]);
-        }
-
-        // 3. Wake-on-visit: a dormant agent co-located with any other
-        // body starts executing this round. Two dormant agents can
-        // never share a node (starts are distinct and dormant agents do
-        // not move), so any co-located company is awake, declared or
-        // crashed — and a body is a body: a crashed agent wakes a
-        // sleeper exactly as a declared one does.
-        for i in 0..k {
-            if self.engine.agents.phase[i] != AgentPhase::Dormant {
-                continue;
-            }
-            if card[self.engine.agents.pos[i].index()] > 1 {
-                self.engine.agents.phase[i] = AgentPhase::Active;
-                self.engine.agents.just_woken[i] = true;
-                if let Some(t) = self.trace.as_mut() {
-                    t.push(TraceEvent::Wake {
-                        agent: self.engine.agents.labels[i],
-                        round,
-                        by_visit: true,
-                    });
-                }
-            }
-        }
-
-        // 4. Poll every executing agent (simultaneously: all
-        // observations are computed from the same positions). A
-        // `Blocked` agent reports its failed attempt through the
-        // observation and reverts to `Active`.
-        let mut all_waited = true;
-        let mut any_active = false;
-        for (i, slot) in acts.iter_mut().enumerate() {
-            *slot = None;
-            let phase = self.engine.agents.phase[i];
-            if !phase.is_executing() {
-                continue;
-            }
-            any_active = true;
-            let pos = self.engine.agents.pos[i];
-            let peer_labels = match self.engine.sensing {
-                Sensing::Weak => None,
-                Sensing::Traditional => {
-                    // The node's bucket lists everyone present in agent
-                    // order; fill and sort the one scratch buffer, and
-                    // lend it to the observation instead of allocating.
-                    label_buf.clear();
-                    label_buf.extend_from_slice(&occupants[pos.index()]);
-                    label_buf.sort_unstable();
-                    Some(std::mem::take(label_buf))
-                }
-            };
-            let mut obs = Obs {
-                round,
-                degree: self.engine.graph.degree(pos),
-                cur_card: card[pos.index()],
-                entry_port: self.engine.agents.entry_port[i],
-                just_woken: self.engine.agents.just_woken[i],
-                blocked: phase == AgentPhase::Blocked,
-                peer_labels,
-            };
-            let act = self.engine.agents.behaviors[i].on_round(&obs);
-            self.stats.polled_agent_rounds += 1;
-            #[cfg(debug_assertions)]
-            if self.engine.sensing == Sensing::Weak {
-                let sig = (obs.degree, obs.cur_card, obs.entry_port);
-                let fresh = obs.blocked || obs.just_woken;
-                let (through, promised) = self.promise[i];
-                if !fresh && round <= through && promised == Some(sig) {
-                    debug_assert!(
-                        matches!(act, AgentAct::Wait),
-                        "agent {} acted at round {round} inside its promised wait horizon \
-                         (through round {through}) without an observation change",
-                        self.engine.agents.labels[i]
-                    );
-                }
-                self.promise[i] = if fresh {
-                    (0, None)
-                } else {
-                    (
-                        round.saturating_add(self.engine.agents.behaviors[i].min_wait()),
-                        Some(sig),
-                    )
-                };
-            }
-            // Reclaim the lent label buffer (and its capacity).
-            if let Some(buf) = obs.peer_labels.take() {
-                *label_buf = buf;
-            }
-            self.engine.agents.just_woken[i] = false;
-            self.engine.agents.phase[i] = AgentPhase::Active;
-            if !matches!(act, AgentAct::Wait) {
-                all_waited = false;
-            }
-            *slot = Some(act);
-        }
-
-        // 5. Apply actions simultaneously.
-        for (i, act) in acts.iter().enumerate() {
-            let Some(act) = *act else { continue };
-            match act {
-                AgentAct::Wait => {}
-                AgentAct::TakePort(p) => {
-                    let pos = self.engine.agents.pos[i];
-                    match self.engine.graph.neighbor(pos, p) {
-                        // A port that exists in the base graph but whose
-                        // edge is absent this round blocks: the agent
-                        // stays put (entry port untouched) and its next
-                        // observation reports it. A nonexistent port is
-                        // still a protocol violation — dynamics never
-                        // change the degree an agent observes.
-                        Some(_) if !self.engine.view.edge_present(pos, p) => {
-                            self.engine.agents.phase[i] = AgentPhase::Blocked;
-                            self.stats.blocked_moves += 1;
-                            if let Some(t) = self.trace.as_mut() {
-                                t.push(TraceEvent::Blocked {
-                                    agent: self.engine.agents.labels[i],
-                                    round,
-                                    node: pos,
-                                    port: p,
-                                });
-                            }
-                        }
-                        Some((to, back)) => {
-                            if let Some(t) = self.trace.as_mut() {
-                                t.push(TraceEvent::Move {
-                                    agent: self.engine.agents.labels[i],
-                                    round,
-                                    from: pos,
-                                    to,
-                                    port: p,
-                                });
-                            }
-                            self.engine.agents.pos[i] = to;
-                            self.engine.agents.entry_port[i] = Some(back);
-                            self.stats.total_moves += 1;
-                        }
-                        None => {
-                            // Leave the scratch clean for whatever steps
-                            // next through it (a solo rerun or another run
-                            // of the same batch).
-                            wipe_occupancy(card, occupants, touched);
-                            return Some(Err(SimError::InvalidPort {
-                                agent: self.engine.agents.labels[i],
-                                node: pos,
-                                port: p,
-                                round,
-                            }));
-                        }
-                    }
-                }
-                AgentAct::Declare(d) => {
-                    self.engine.agents.declared[i] = Some(DeclarationRecord {
-                        round,
-                        node: self.engine.agents.pos[i],
-                        declaration: d,
-                    });
-                    self.engine.agents.phase[i] = AgentPhase::Declared;
-                    self.stats.last_declaration_round =
-                        self.stats.last_declaration_round.max(round);
-                    if let Some(t) = self.trace.as_mut() {
-                        t.push(TraceEvent::Declare {
-                            agent: self.engine.agents.labels[i],
-                            round,
-                            node: self.engine.agents.pos[i],
-                            declaration: d,
-                        });
-                    }
-                }
-            }
-        }
-
-        // End-of-round wipe: clear exactly the nodes occupied this round,
-        // restoring the all-zero scratch invariant interleaved runs rely
-        // on.
-        wipe_occupancy(card, occupants, touched);
-
-        // A run ends when every agent is terminal. All declared is the
-        // paper's successful end; any crash among otherwise-declared
-        // agents halts the run early too — nothing can change anymore —
-        // but reports `Halted` (the crashed agents never declared).
-        if self.engine.agents.phase.iter().all(|p| p.is_terminal()) {
-            let crashed = self.engine.agents.phase.contains(&AgentPhase::Crashed);
-            let (status, rounds) = if crashed {
-                (
-                    RunStatus::Halted,
-                    self.stats
-                        .last_declaration_round
-                        .max(self.stats.last_crash_round),
-                )
-            } else {
-                (RunStatus::AllDeclared, self.stats.last_declaration_round)
-            };
-            return Some(Ok(self.finish(status, rounds)));
-        }
-
-        let mut next = round + 1;
-
-        // 6. Quiescence fast-forward: if every active agent waited, no
-        // observation can change until some procedure stops waiting,
-        // the adversary wakes someone, or a fault crashes someone.
-        // Skip ahead by the largest provably quiet stretch.
-        if all_waited && any_active {
-            let mut skip = u64::MAX;
-            for (&phase, behavior) in self
-                .engine
-                .agents
-                .phase
-                .iter()
-                .zip(self.engine.agents.behaviors.iter())
-            {
-                if phase.is_executing() {
-                    skip = skip.min(behavior.min_wait());
-                }
-            }
-            // Respect pending adversary wake-ups...
-            for (&phase, &wake) in self
-                .engine
-                .agents
-                .phase
-                .iter()
-                .zip(self.engine.agents.adversary_wake.iter())
-            {
-                if phase == AgentPhase::Dormant && wake != u64::MAX {
-                    skip = skip.min(wake.saturating_sub(next));
-                }
-            }
-            // ...pending crashes (a crash mid-stretch must execute in
-            // its exact round: the agent stops acting from then on)...
-            if self.pending_crashes > 0 {
-                for &crash in &self.engine.agents.crash_round {
-                    if crash != u64::MAX {
-                        skip = skip.min(crash.saturating_sub(next));
-                    }
-                }
-            }
-            // ...and the round limit.
-            skip = skip.min(self.max_rounds.saturating_sub(next));
-            if skip > 0 && skip != u64::MAX {
-                for (&phase, behavior) in self
-                    .engine
-                    .agents
-                    .phase
-                    .iter()
-                    .zip(self.engine.agents.behaviors.iter_mut())
-                {
-                    if phase.is_executing() {
-                        behavior.note_skipped(skip);
-                    }
-                }
-                next += skip;
-                self.stats.skipped_rounds += skip;
-            }
-        }
-
-        self.round = next;
-        None
     }
 
     /// The sparse event-driven round loop: one executed iteration costs
-    /// O(active + dirtied) instead of the dense loop's O(k).
+    /// O(active + dirtied) instead of O(k).
     ///
-    /// Phase-for-phase it is the dense loop with every all-agents scan
-    /// replaced by its sparse equivalent — event cursors for crashes and
+    /// Each phase of the model's round — crashes, adversary wakes,
+    /// occupancy, visit wakes, polls, applies — replaces its all-agents
+    /// scan with a sparse equivalent: event cursors for crashes and
     /// adversary wakes, the dirty-node set for occupancy sampling, visit
     /// wakes and unparking, the sorted active worklist for polls and
-    /// applies — in the dense loop's exact order, so traces, outcomes and
-    /// every report byte match the dense loop bit for bit (see
-    /// [`SparseState`] for the full argument).
+    /// applies (see [`SparseState`] for the full argument).
     fn step_sparse(&mut self, scratch: &mut EngineScratch) -> SparseStep {
         let ActiveRun {
             engine,
@@ -1303,7 +852,7 @@ impl<'g, V: TopologyView, B: AgentBehavior> ActiveRun<'g, V, B> {
             max_rounds,
             ..
         } = self;
-        let sp = sparse.as_mut().expect("step_sparse requires sparse state");
+        let sp = sparse;
         let Engine {
             graph,
             view,
@@ -1320,13 +869,17 @@ impl<'g, V: TopologyView, B: AgentBehavior> ActiveRun<'g, V, B> {
         let acts = &mut scratch.acts;
 
         stats.engine_iterations += 1;
-        // Advance the topology to this round (fast-forwarded rounds are
-        // skipped soundly, exactly as in the dense loop).
+        // Advance the topology to this round. Fast-forwarded rounds are
+        // skipped soundly: a view is a pure function of the round number,
+        // and edge presence is unobservable in a round where every
+        // executing agent waits.
         view.begin_round(round);
 
         // 0. Crash faults due this round. The cursor makes this phase
         // vanish while no crash is due; the sorted `(round, agent)` order
-        // reproduces the dense ascending-agent scan. A crash on an
+        // fires same-round crashes in ascending agent order. Crashes
+        // precede wake-ups: an agent crashing in its wake round never
+        // wakes. A crash on an
         // already-declared agent resolves to nothing; otherwise the agent
         // is pulled out of whichever sparse home it occupies — dormant
         // list, active worklist or parked bucket — and its body stays.
@@ -1391,12 +944,12 @@ impl<'g, V: TopologyView, B: AgentBehavior> ActiveRun<'g, V, B> {
 
         // 2+3. Occupancy deltas from the previous executed iteration.
         // `card`/`occupants` were already updated by the applied moves;
-        // this is where the dense loop would first *observe* the new
-        // positions, so this is where max-colocation is sampled, dormant
-        // agents that gained company wake (ascending agent order, like the
-        // dense scan — a fresh co-location implies a dirtied node, so the
-        // scan fires iff the dense one would), and the dirtied nodes'
-        // parked waiters are brought back for re-polling.
+        // this is where the model first *observes* the new positions, so
+        // this is where max-colocation is sampled, dormant agents that
+        // gained company wake (ascending agent order — a fresh co-location
+        // implies a dirtied node, so scanning only after moves misses no
+        // visit wake), and the dirtied nodes' parked waiters are brought
+        // back for re-polling.
         if !sp.dirty.is_empty() {
             for di in 0..sp.dirty.len() {
                 let node = sp.dirty[di] as usize;
@@ -1459,8 +1012,8 @@ impl<'g, V: TopologyView, B: AgentBehavior> ActiveRun<'g, V, B> {
             sp.next_deadline = min_next;
         }
 
-        // 4. Poll the active worklist — the dense poll phase restricted to
-        // the agents whose next action can differ from the parked `Wait`.
+        // 4. Poll the active worklist — every executing agent whose next
+        // action can differ from the parked `Wait`.
         // The snapshot decouples the apply phase from worklist edits; the
         // co-indexed parkable flags exclude blocked and just-woken polls
         // from parking (their very next observation changes, so the
@@ -1605,11 +1158,10 @@ impl<'g, V: TopologyView, B: AgentBehavior> ActiveRun<'g, V, B> {
         // 6. Quiescence fast-forward. Parked agents count as waiting —
         // that is what parking means — so the condition is "every poll
         // this round waited and someone is still executing". To bound the
-        // skip by every executing agent's *current* horizon (the dense
-        // bound), each parked behavior is caught up and polled once at
-        // this round — exactly the poll the dense loop issues in its
-        // fast-forward round — then re-parked at the new synchronization
-        // point with a fresh horizon.
+        // skip by every executing agent's *current* horizon, each parked
+        // behavior is caught up and polled once at this round, then
+        // re-parked at the new synchronization point with a fresh
+        // horizon.
         if all_waited && (!sp.polled.is_empty() || sp.parked_count > 0) {
             let mut skip = u64::MAX;
             for pi in 0..sp.polled.len() {
@@ -1655,9 +1207,9 @@ impl<'g, V: TopologyView, B: AgentBehavior> ActiveRun<'g, V, B> {
                 }
                 sp.wake_cursor += 1;
             }
-            // ...pending crashes, with no phase filter — exactly the dense
-            // bound: even a crash aimed at an already-declared agent pins
-            // the skip...
+            // ...pending crashes, with no phase filter: even a crash aimed
+            // at an already-declared agent pins the skip (the skip sizes
+            // are recorded, so this bound must not change)...
             if let Some(&(c, _)) = sp.crashes.get(sp.crash_cursor) {
                 skip = skip.min(c.saturating_sub(next));
             }
@@ -1773,29 +1325,8 @@ impl<'g, V: TopologyView, B: ForkableBehavior> ActiveRun<'g, V, B> {
             .iter()
             .map(ForkableBehavior::fork)
             .collect::<Option<Vec<B>>>()?;
-        // Sparse park state is captured verbatim, so a sparse-resumed run
-        // re-polls exactly when this run would have. A dense run has no
-        // park state; its checkpoint stores the all-unparked vectors plus
-        // every occupied node as dirty — the safe over-approximation that
-        // keeps a dense checkpoint resumable into a sparse run.
-        let k = self.engine.agents.len();
-        let (parked_at, park_deadline, dirty) = match &self.sparse {
-            Some(sp) => (
-                sp.parked_at.clone(),
-                sp.park_deadline.clone(),
-                sp.dirty.clone(),
-            ),
-            None => (
-                vec![u64::MAX; k],
-                vec![u64::MAX; k],
-                self.engine
-                    .agents
-                    .pos
-                    .iter()
-                    .map(|p| p.index() as u32)
-                    .collect(),
-            ),
-        };
+        // Park state is captured verbatim, so a resumed run re-polls
+        // exactly when this run would have.
         Some(RunCheckpoint {
             pos: self.engine.agents.pos.clone(),
             phase: self.engine.agents.phase.clone(),
@@ -1805,9 +1336,9 @@ impl<'g, V: TopologyView, B: ForkableBehavior> ActiveRun<'g, V, B> {
             behaviors,
             stats: self.stats.clone(),
             trace: self.trace.clone(),
-            parked_at,
-            park_deadline,
-            dirty,
+            parked_at: self.sparse.parked_at.clone(),
+            park_deadline: self.sparse.park_deadline.clone(),
+            dirty: self.sparse.dirty.clone(),
             round: self.round,
         })
     }
@@ -1879,40 +1410,18 @@ impl<'g, V: TopologyView, B: ForkableBehavior> ActiveRun<'g, V, B> {
             };
         }
         self.pending_crashes = pending;
-        match &self.sparse {
-            // Sparse resume: rebuild the whole sparse state from the
-            // restored columns (worklists from the phases, occupancy from
-            // the positions, event lists from the post-reconciliation
-            // wake/crash columns), with the checkpoint's park state and
-            // pending dirty nodes taken verbatim.
-            Some(_) => {
-                self.sparse = Some(build_sparse(
-                    &self.engine.agents,
-                    self.engine.graph.node_count(),
-                    self.bucket_occupants,
-                    cp.parked_at.clone(),
-                    cp.park_deadline.clone(),
-                    cp.dirty.clone(),
-                ));
-            }
-            // Dense resume of a sparse checkpoint: the dense loop polls
-            // every executing agent every round, so the park state
-            // dissolves — catch each parked behavior up to the round
-            // before the resumed one (valid: parking guarantees the
-            // skipped observations were identical).
-            None => {
-                for (iu, &pa) in cp.parked_at.iter().enumerate() {
-                    if pa != u64::MAX {
-                        let behind = cp.round - 1 - pa;
-                        if behind > 0 {
-                            self.engine.agents.behaviors[iu].note_skipped(behind);
-                        }
-                    }
-                }
-            }
-        }
-        #[cfg(debug_assertions)]
-        self.promise.iter_mut().for_each(|p| *p = (0, None));
+        // Rebuild the whole sparse state from the restored columns
+        // (worklists from the phases, occupancy from the positions, event
+        // lists from the post-reconciliation wake/crash columns), with the
+        // checkpoint's park state and pending dirty nodes taken verbatim.
+        self.sparse = build_sparse(
+            &self.engine.agents,
+            self.engine.graph.node_count(),
+            self.bucket_occupants,
+            cp.parked_at.clone(),
+            cp.park_deadline.clone(),
+            cp.dirty.clone(),
+        );
         true
     }
 }

@@ -58,12 +58,12 @@ pub struct RunOutcome {
     /// Rounds skipped by the quiescence fast-forward.
     pub skipped_rounds: u64,
     /// Behavior polls actually executed (`on_round` calls) — the honest
-    /// cost denominator of the sparse round loop. This is the *only*
-    /// field on which the sparse and dense (`NOCHATTER_DENSE_LOOP=1`)
-    /// loops may differ: the sparse loop skips polls whose answer is
-    /// promised by a wait horizon, everything else is bitwise identical.
-    /// Excluded from the deterministic lab reports for exactly that
-    /// reason; surfaced as a campaign-level trajectory aggregate instead.
+    /// cost denominator of the sparse round loop, which skips polls whose
+    /// answer is promised by a wait horizon. An execution fact, not a
+    /// model fact: a naive interpreter that polls every executing agent
+    /// every round agrees on every other model-visible field but polls
+    /// more. Excluded from the deterministic lab reports for that reason;
+    /// surfaced as a campaign-level trajectory aggregate instead.
     pub polled_agent_rounds: u64,
     /// The largest number of co-located agents ever observed.
     pub max_colocation: u32,

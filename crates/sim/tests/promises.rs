@@ -14,9 +14,10 @@
 //!    every subsequent poll answer (under arbitrary observations) matches,
 //!    as does the remaining `min_wait`.
 //!
-//! The engine additionally `debug_assert`s guarantee 1 on every poll of the
-//! dense loop's promise tracker; these tests pin both guarantees directly
-//! at the combinator level, where a violation is easiest to localize.
+//! The engine additionally `debug_assert`s guarantee 1 whenever the
+//! fast-forward re-polls a parked agent; these tests pin both guarantees
+//! directly at the combinator level, where a violation is easiest to
+//! localize.
 
 use std::fmt::Debug;
 

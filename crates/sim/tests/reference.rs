@@ -1,9 +1,9 @@
-//! The sparse round loop's equivalence contract, property-tested: for any
-//! scenario, the event-driven loop (per-agent wait horizons, dirty-node
-//! re-polling, event cursors) and the dense reference loop produce bitwise
-//! identical outcomes and traces. The *only* field allowed to differ is
-//! `polled_agent_rounds` — the honest measure of the work the sparse loop
-//! avoids — and even that may only ever be *lower* under the sparse loop.
+//! The sparse round loop against the naive reference interpreter of
+//! `common/interpreter.rs`: for any scenario, the event-driven loop
+//! (per-agent wait horizons, dirty-node re-polling, event cursors, the
+//! quiescence fast-forward) agrees with an interpreter that polls every
+//! executing agent every round on every model-visible field and every
+//! trace event — and never polls more.
 //!
 //! The property sweeps graph families, sensing modes, wake schedules,
 //! static and round-varying topologies, crash faults, and a behavior mix
@@ -11,11 +11,14 @@
 //! triggers — horizon expiry, occupancy change, adversary events — fire in
 //! anger). Unit tests below pin each trigger ordering individually.
 
+#[path = "common/interpreter.rs"]
+mod interpreter;
+
 use std::collections::VecDeque;
 
 use proptest::prelude::*;
 
-use nochatter_graph::dynamic::{PeriodicEdges, SeededEdgeFailure};
+use nochatter_graph::dynamic::{PeriodicEdges, SeededEdgeFailure, Topology};
 use nochatter_graph::generators::Family;
 use nochatter_graph::rng::Rng;
 use nochatter_graph::{Graph, Label, NodeId, Port};
@@ -24,8 +27,10 @@ use nochatter_sim::proc::{
 };
 use nochatter_sim::{
     Action, AgentBehavior, CrashPoint, Declaration, Engine, FaultSpec, Obs, Poll, RunOutcome,
-    Sensing, TopologySpec, WakeSchedule,
+    Sensing, Static, TopologySpec, WakeSchedule,
 };
+
+use interpreter::{interpret, Model};
 
 /// A seeded random walker (same shape as the determinism suite's): waits
 /// or takes a random port for a seed-determined number of rounds, then
@@ -171,72 +176,71 @@ fn distinct(starts: &[u32]) -> bool {
     starts[0] != starts[1] && starts[1] != starts[2] && starts[0] != starts[2]
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_mode(
+/// A team for one run: label, start node and a fresh behavior per agent.
+type Team = Vec<(Label, NodeId, Box<dyn AgentBehavior>)>;
+
+/// Runs `team()` through the engine and, with a second fresh team, through
+/// the reference interpreter; checks the engine against the reference and
+/// returns the engine's outcome.
+fn run_checked<T: Topology>(
     graph: &Graph,
-    starts: &[u32],
-    seed: u64,
-    schedule: &WakeSchedule,
-    sensing: Sensing,
-    topo: &TopologySpec,
-    fault: &FaultSpec,
-    dense: bool,
-) -> RunOutcome {
-    let mut engine = Engine::with_topology(graph, topo);
-    engine.set_dense_loop(dense);
-    engine.record_trace(1 << 14);
-    engine.set_sensing(sensing);
-    for (i, &start) in starts.iter().enumerate() {
-        engine.add_agent(
-            Label::new(i as u64 + 1).unwrap(),
-            NodeId::new(start),
-            mixed_behavior(seed, i),
-        );
+    topology: &T,
+    model: &Model,
+    team: impl Fn() -> Team,
+) -> Result<RunOutcome, String> {
+    let mut engine = Engine::with_topology(graph, topology);
+    engine.record_trace(model.trace_capacity);
+    engine.set_sensing(model.sensing);
+    engine.set_wake_schedule(model.schedule.clone());
+    engine.set_faults(model.faults.clone());
+    for (label, start, behavior) in team() {
+        engine.add_agent(label, start, behavior);
     }
-    engine.set_wake_schedule(schedule.clone());
-    engine.set_faults(fault.clone());
-    engine.run(500).unwrap()
+    let outcome = engine.run(model.max_rounds).map_err(|e| e.to_string())?;
+    interpret(graph, topology, team(), model).check(&outcome)?;
+    Ok(outcome)
 }
 
-/// Debug-compare two outcomes with `polled_agent_rounds` masked out — it is
-/// the one field the loops are allowed to disagree on.
-fn assert_equal_masking_polls(
-    sparse: &RunOutcome,
-    dense: &RunOutcome,
-) -> Result<(), TestCaseError> {
-    let mut s = sparse.clone();
-    let mut d = dense.clone();
-    s.polled_agent_rounds = 0;
-    d.polled_agent_rounds = 0;
-    prop_assert_eq!(format!("{s:?}"), format!("{d:?}"));
-    let (ts, td) = (
-        sparse.trace.as_ref().unwrap(),
-        dense.trace.as_ref().unwrap(),
-    );
-    prop_assert_eq!(ts.events(), td.events());
-    prop_assert_eq!(ts.dropped(), td.dropped());
-    prop_assert!(
-        sparse.polled_agent_rounds <= dense.polled_agent_rounds,
-        "sparse loop polled more ({}) than dense ({})",
-        sparse.polled_agent_rounds,
-        dense.polled_agent_rounds
-    );
-    Ok(())
+/// The weak-sensing, fault-free, simultaneous-wake model with a
+/// 500-round limit the unit tests below start from.
+fn plain_model(trace_capacity: usize) -> Model {
+    Model {
+        schedule: WakeSchedule::Simultaneous,
+        sensing: Sensing::Weak,
+        faults: FaultSpec::None,
+        trace_capacity,
+        max_rounds: 500,
+    }
 }
 
 proptest! {
-    /// The headline contract: sparse and dense loops are bitwise identical
-    /// on every outcome field and every trace event, across topologies,
-    /// sensing modes, schedules and crash faults — and the sparse loop
-    /// never polls a behavior the dense loop wouldn't have.
+    /// The headline contract: the sparse loop matches the reference
+    /// interpreter on every model-visible field and every trace event,
+    /// across topologies, sensing modes, schedules and crash faults — and
+    /// never polls a behavior the interpreter wouldn't have.
     #[test]
-    fn sparse_and_dense_loops_are_bitwise_identical(
+    fn sparse_loop_matches_the_reference(
         (graph, starts, seed, schedule, sensing, topo, fault) in scenario_strategy()
     ) {
         prop_assume!(distinct(&starts));
-        let sparse = run_mode(&graph, &starts, seed, &schedule, sensing, &topo, &fault, false);
-        let dense = run_mode(&graph, &starts, seed, &schedule, sensing, &topo, &fault, true);
-        assert_equal_masking_polls(&sparse, &dense)?;
+        let model = Model {
+            schedule,
+            sensing,
+            faults: fault,
+            trace_capacity: 1 << 14,
+            max_rounds: 500,
+        };
+        let team = || -> Team {
+            starts
+                .iter()
+                .enumerate()
+                .map(|(i, &start)| {
+                    (Label::new(i as u64 + 1).unwrap(), NodeId::new(start), mixed_behavior(seed, i))
+                })
+                .collect()
+        };
+        let verdict = run_checked(&graph, &topo, &model, team).map(|_| ());
+        prop_assert_eq!(verdict, Ok(()));
     }
 }
 
@@ -299,46 +303,20 @@ impl Procedure for PathThenIdle {
     }
 }
 
-/// Runs the same setup under both loops and checks outcome equality (polls
-/// masked); returns the sparse outcome for further assertions.
-fn run_pair<'g>(mut build: impl FnMut(bool) -> Engine<'g>) -> RunOutcome {
-    let mut go = |dense: bool| {
-        let mut engine = build(dense);
-        engine.set_dense_loop(dense);
-        engine.run(500).unwrap()
-    };
-    let sparse = go(false);
-    let dense = go(true);
-    let mut s = sparse.clone();
-    let mut d = dense.clone();
-    s.polled_agent_rounds = 0;
-    d.polled_agent_rounds = 0;
-    assert_eq!(format!("{s:?}"), format!("{d:?}"));
-    assert_eq!(
-        sparse.trace.as_ref().unwrap().events(),
-        dense.trace.as_ref().unwrap().events()
-    );
-    assert!(sparse.polled_agent_rounds <= dense.polled_agent_rounds);
-    sparse
-}
-
 /// Trigger 1 — horizon expiry: a lone `WaitRounds` agent parks on its full
 /// horizon, is re-polled only when the horizon runs out, and still declares
-/// at exactly the same round as under the dense loop.
+/// at exactly the round the reference interpreter does.
 #[test]
 fn horizon_expiry_re_polls_at_the_promised_round() {
     let graph = Family::Ring.instantiate(6, 1);
-    let sparse = run_pair(|_| {
-        let mut engine = Engine::new(&graph);
-        engine.record_trace(64);
-        engine.add_agent(
+    let sparse = run_checked(&graph, &Static, &plain_model(64), || {
+        vec![(
             Label::new(1).unwrap(),
             NodeId::new(0),
-            Box::new(ProcBehavior::mapping(WaitRounds::new(40), |()| declare(0)))
-                as Box<dyn AgentBehavior>,
-        );
-        engine
-    });
+            Box::new(ProcBehavior::mapping(WaitRounds::new(40), |()| declare(0))),
+        )]
+    })
+    .unwrap();
     let (_, rec) = &sparse.declarations[0];
     assert_eq!(rec.unwrap().round, 40);
     // A lone waiter is pure quiescence: fast-forward covers the wait in a
@@ -360,29 +338,29 @@ fn occupancy_change_preempts_a_parked_horizon() {
     let start = NodeId::new(graph.node_count() as u32 - 1);
     let path = port_path(&graph, start, target);
     let arrival = path.len() as u64; // moves land at end of rounds 0..len-1
-    let sparse = run_pair(|_| {
-        let mut engine = Engine::new(&graph);
-        engine.record_trace(256);
-        engine.add_agent(
-            Label::new(1).unwrap(),
-            target,
-            Box::new(ProcBehavior::mapping(
-                UntilCardExceeds::new(1, WaitRounds::new(400)),
-                |out| declare(out.was_interrupted() as u32),
-            )) as Box<dyn AgentBehavior>,
-        );
-        engine.add_agent(
-            Label::new(2).unwrap(),
-            start,
-            Box::new(ProcBehavior::mapping(
-                PathThenIdle {
-                    path: path.clone().into_iter(),
-                },
-                |()| declare(0),
-            )) as Box<dyn AgentBehavior>,
-        );
-        engine
-    });
+    let sparse = run_checked(&graph, &Static, &plain_model(256), || {
+        vec![
+            (
+                Label::new(1).unwrap(),
+                target,
+                Box::new(ProcBehavior::mapping(
+                    UntilCardExceeds::new(1, WaitRounds::new(400)),
+                    |out| declare(out.was_interrupted() as u32),
+                )),
+            ),
+            (
+                Label::new(2).unwrap(),
+                start,
+                Box::new(ProcBehavior::mapping(
+                    PathThenIdle {
+                        path: path.clone().into_iter(),
+                    },
+                    |()| declare(0),
+                )),
+            ),
+        ]
+    })
+    .unwrap();
     let (_, rec) = &sparse.declarations[0];
     let rec = rec.expect("the parked agent must be interrupted and declare");
     assert_eq!(
@@ -403,28 +381,30 @@ fn occupancy_change_preempts_a_parked_horizon() {
 #[test]
 fn crash_preempts_a_parked_horizon() {
     let graph = Family::Ring.instantiate(5, 1);
-    let sparse = run_pair(|_| {
-        let mut engine = Engine::new(&graph);
-        engine.record_trace(64);
-        engine.add_agent(
-            Label::new(1).unwrap(),
-            NodeId::new(0),
-            Box::new(ProcBehavior::mapping(WaitRounds::new(10_000), |()| {
-                declare(0)
-            })) as Box<dyn AgentBehavior>,
-        );
-        engine.add_agent(
-            Label::new(2).unwrap(),
-            NodeId::new(2),
-            Box::new(ProcBehavior::mapping(WaitRounds::new(3), |()| declare(0)))
-                as Box<dyn AgentBehavior>,
-        );
-        engine.set_faults(FaultSpec::CrashAt(vec![CrashPoint {
+    let model = Model {
+        faults: FaultSpec::CrashAt(vec![CrashPoint {
             label: Label::new(1).unwrap(),
             round: 123,
-        }]));
-        engine
-    });
+        }]),
+        ..plain_model(64)
+    };
+    let sparse = run_checked(&graph, &Static, &model, || {
+        vec![
+            (
+                Label::new(1).unwrap(),
+                NodeId::new(0),
+                Box::new(ProcBehavior::mapping(WaitRounds::new(10_000), |()| {
+                    declare(0)
+                })),
+            ),
+            (
+                Label::new(2).unwrap(),
+                NodeId::new(2),
+                Box::new(ProcBehavior::mapping(WaitRounds::new(3), |()| declare(0))),
+            ),
+        ]
+    })
+    .unwrap();
     assert_eq!(sparse.crashed_agents, vec![Label::new(1).unwrap()]);
     let crash = sparse
         .trace
@@ -449,26 +429,31 @@ fn crash_preempts_a_parked_horizon() {
 #[test]
 fn staggered_wake_fires_during_quiescence() {
     let graph = Family::Ring.instantiate(6, 2);
-    run_pair(|_| {
-        let mut engine = Engine::new(&graph);
-        engine.record_trace(256);
-        for (i, start) in [0u32, 2, 4].into_iter().enumerate() {
-            engine.add_agent(
-                Label::new(i as u64 + 1).unwrap(),
-                NodeId::new(start),
-                Box::new(ProcBehavior::mapping(
-                    WaitRounds::new(50 + 10 * i as u64),
-                    |()| declare(0),
-                )) as Box<dyn AgentBehavior>,
-            );
-        }
-        engine.set_wake_schedule(WakeSchedule::Staggered { gap: 17 });
-        engine
-    });
+    let model = Model {
+        schedule: WakeSchedule::Staggered { gap: 17 },
+        ..plain_model(256)
+    };
+    run_checked(&graph, &Static, &model, || {
+        [0u32, 2, 4]
+            .into_iter()
+            .enumerate()
+            .map(|(i, start)| {
+                (
+                    Label::new(i as u64 + 1).unwrap(),
+                    NodeId::new(start),
+                    Box::new(ProcBehavior::mapping(
+                        WaitRounds::new(50 + 10 * i as u64),
+                        |()| declare(0),
+                    )) as Box<dyn AgentBehavior>,
+                )
+            })
+            .collect()
+    })
+    .unwrap();
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoint/resume mid-wait, across every donor-mode x resume-mode pair.
+// Checkpoint/resume mid-wait.
 // ---------------------------------------------------------------------------
 
 /// A cloneable seeded walker (forkable, unlike the boxed-dyn mix above):
@@ -534,11 +519,7 @@ impl Procedure for MixedProc {
 
 type ForkableMix = Box<ProcBehavior<MixedProc, fn(u32) -> Declaration>>;
 
-fn forkable_engine(graph: &Graph, dense: bool) -> Engine<'_, nochatter_sim::Static, ForkableMix> {
-    let mut engine: Engine<'_, nochatter_sim::Static, ForkableMix> =
-        Engine::with_parts(graph, &nochatter_sim::Static);
-    engine.set_dense_loop(dense);
-    engine.record_trace(1 << 12);
+fn forkable_team() -> Vec<(Label, NodeId, ForkableMix)> {
     let procs = [
         MixedProc::Walk(CloneWalker {
             rng: Rng::seed_from(11),
@@ -548,85 +529,77 @@ fn forkable_engine(graph: &Graph, dense: bool) -> Engine<'_, nochatter_sim::Stat
         MixedProc::Idle(WaitRounds::new(75)),
         MixedProc::Card(UntilCardExceeds::new(1, WaitRounds::new(300))),
     ];
-    for (i, proc_) in procs.into_iter().enumerate() {
-        engine.add_agent(
-            Label::new(i as u64 + 1).unwrap(),
-            NodeId::new(i as u32 * 2),
-            Box::new(ProcBehavior::mapping(
-                proc_,
-                declare as fn(u32) -> Declaration,
-            )),
-        );
+    procs
+        .into_iter()
+        .enumerate()
+        .map(|(i, proc_)| {
+            (
+                Label::new(i as u64 + 1).unwrap(),
+                NodeId::new(i as u32 * 2),
+                Box::new(ProcBehavior::mapping(
+                    proc_,
+                    declare as fn(u32) -> Declaration,
+                )),
+            )
+        })
+        .collect()
+}
+
+fn forkable_engine(graph: &Graph) -> Engine<'_, Static, ForkableMix> {
+    let mut engine: Engine<'_, Static, ForkableMix> = Engine::with_parts(graph, &Static);
+    engine.record_trace(1 << 12);
+    for (label, start, behavior) in forkable_team() {
+        engine.add_agent(label, start, behavior);
     }
     engine
 }
 
-/// A checkpoint taken while agents sit parked mid-`min_wait` resumes
-/// bitwise into either loop, from either loop: the park state is either
-/// carried verbatim (sparse→sparse), dissolved by catching behaviors up
-/// (→dense), or rebuilt from the captured columns (dense→sparse).
+/// A checkpoint taken while agents sit parked mid-`min_wait` resumes with
+/// the park state carried verbatim: the resumed run equals a from-scratch
+/// run bit for bit (poll count included), and both match the reference.
 #[test]
-fn mid_wait_checkpoints_resume_bitwise_across_mode_pairs() {
+fn mid_wait_checkpoint_resumes_like_a_fresh_run() {
     use nochatter_sim::{ActiveRun, EngineScratch};
 
     let graph = Family::Ring.instantiate(9, 4);
-    // Reference outcome: a fresh dense run, polls masked below.
-    let reference = {
-        let mut scratch = EngineScratch::new();
-        forkable_engine(&graph, true)
-            .run_with_scratch(500, &mut scratch)
-            .unwrap()
-    };
-    for donor_dense in [false, true] {
-        for resume_dense in [false, true] {
-            let mut scratch = EngineScratch::new();
-            let mut donor =
-                ActiveRun::begin(forkable_engine(&graph, donor_dense), 500, &mut scratch).unwrap();
-            // Step into the thick of the waits: the two `WaitRounds`
-            // agents are parked under the sparse loop by round 12.
-            while donor.next_round() < 12 {
-                assert!(
-                    donor.step(&mut scratch).is_none(),
-                    "the run must still be live at round 12"
-                );
-            }
-            let cp = donor.checkpoint().expect("forkable behaviors snapshot");
-            let mut resumed =
-                ActiveRun::begin(forkable_engine(&graph, resume_dense), 500, &mut scratch).unwrap();
-            assert!(resumed.resume_from(&cp), "shapes match, behaviors fork");
-            let outcome = loop {
-                if let Some(result) = resumed.step(&mut scratch) {
-                    break result.unwrap();
-                }
-            };
-            let mut masked = outcome.clone();
-            let mut expected = reference.clone();
-            masked.polled_agent_rounds = 0;
-            expected.polled_agent_rounds = 0;
-            assert_eq!(
-                format!("{masked:?}"),
-                format!("{expected:?}"),
-                "mid-wait resume diverged for donor_dense={donor_dense} \
-                 resume_dense={resume_dense}"
-            );
-            assert_eq!(
-                outcome.trace.as_ref().unwrap().events(),
-                reference.trace.as_ref().unwrap().events()
-            );
-        }
+    let mut scratch = EngineScratch::new();
+    let fresh = forkable_engine(&graph)
+        .run_with_scratch(500, &mut scratch)
+        .unwrap();
+    let mut donor = ActiveRun::begin(forkable_engine(&graph), 500, &mut scratch).unwrap();
+    // Step into the thick of the waits: the two `WaitRounds` agents are
+    // parked by round 12.
+    while donor.next_round() < 12 {
+        assert!(
+            donor.step(&mut scratch).is_none(),
+            "the run must still be live at round 12"
+        );
     }
+    let cp = donor.checkpoint().expect("forkable behaviors snapshot");
+    let mut resumed = ActiveRun::begin(forkable_engine(&graph), 500, &mut scratch).unwrap();
+    assert!(resumed.resume_from(&cp), "shapes match, behaviors fork");
+    let outcome = loop {
+        if let Some(result) = resumed.step(&mut scratch) {
+            break result.unwrap();
+        }
+    };
+    assert_eq!(format!("{outcome:?}"), format!("{fresh:?}"));
+    let reference = interpret(&graph, &Static, forkable_team(), &plain_model(1 << 12));
+    assert_eq!(reference.check(&fresh), Ok(()));
 }
 
 /// The sparse loop's whole point, measured: a mostly-parked team costs far
-/// fewer behavior polls than the dense loop's poll-everyone-every-round.
+/// fewer behavior polls than the reference's poll-everyone-every-round.
 #[test]
 fn parked_agents_slash_polled_rounds() {
     let graph = Family::Ring.instantiate(8, 1);
-    let run = |dense: bool| {
-        let mut engine = Engine::new(&graph);
-        engine.set_dense_loop(dense);
-        // One walker circles the ring; seven waiters park on long horizons.
-        engine.add_agent(
+    let model = Model {
+        max_rounds: 64,
+        ..plain_model(1 << 10)
+    };
+    // One walker circles the ring; seven waiters park on long horizons.
+    let team = || -> Team {
+        let mut team: Team = vec![(
             Label::new(1).unwrap(),
             NodeId::new(0),
             Box::new(ProcBehavior::mapping(
@@ -634,26 +607,25 @@ fn parked_agents_slash_polled_rounds() {
                     path: vec![Port::new(0); 64].into_iter(),
                 },
                 |()| declare(0),
-            )) as Box<dyn AgentBehavior>,
-        );
+            )),
+        )];
         for i in 1..8u32 {
-            engine.add_agent(
+            team.push((
                 Label::new(u64::from(i) + 1).unwrap(),
                 NodeId::new(i),
                 Box::new(ProcBehavior::mapping(WaitRounds::new(100_000), |()| {
                     declare(0)
-                })) as Box<dyn AgentBehavior>,
-            );
+                })),
+            ));
         }
-        engine.run(64).unwrap()
+        team
     };
-    let sparse = run(false);
-    let dense = run(true);
-    assert_eq!(sparse.rounds, dense.rounds);
+    let sparse = run_checked(&graph, &Static, &model, team).unwrap();
+    let reference = interpret(&graph, &Static, team(), &model);
     assert!(
-        sparse.polled_agent_rounds * 2 <= dense.polled_agent_rounds,
-        "expected at least a 2x poll reduction, got sparse {} vs dense {}",
+        sparse.polled_agent_rounds * 2 <= reference.polls,
+        "expected at least a 2x poll reduction, got sparse {} vs reference {}",
         sparse.polled_agent_rounds,
-        dense.polled_agent_rounds
+        reference.polls
     );
 }

@@ -56,8 +56,8 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
-//! See `examples/` for runnable scenarios and `DESIGN.md` for the system
-//! inventory, substitutions and the experiment index.
+//! See `examples/` for runnable scenarios and `README.md` for the crate
+//! map, the architecture notes and the experiment harness.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
