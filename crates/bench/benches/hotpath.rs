@@ -17,18 +17,15 @@ use std::time::Instant;
 use criterion::{black_box, criterion_group, BenchmarkId, Criterion, Throughput};
 
 use nochatter_core::harness::{run_scenario_with_scratch, GatherScenario};
-use nochatter_core::{BehaviorSlot, CommMode};
-use nochatter_explore::{Explo, Uxs};
+use nochatter_core::CommMode;
 use nochatter_graph::dynamic::SeededEdgeFailure;
 use nochatter_graph::{algo, generators, Graph, InitialConfiguration, Label, NodeId, Port};
 use nochatter_lab::{presets, run_campaign_cached, run_search_with, Store};
 use nochatter_sim::proc::{ProcBehavior, Procedure, WaitRounds};
 use nochatter_sim::FaultSpec;
 use nochatter_sim::{
-    Action, Declaration, Engine, EngineScratch, Obs, Poll, Sensing, Static, TopologySpec,
-    WakeSchedule,
+    Action, Engine, EngineScratch, Obs, Poll, Sensing, TopologySpec, WakeSchedule,
 };
-use std::sync::Arc;
 
 fn label(v: u64) -> Label {
     Label::new(v).unwrap()
@@ -137,49 +134,6 @@ fn engine_walk_dynamic(
     black_box(engine.run_with_scratch(rounds, scratch).unwrap());
 }
 
-/// The start nodes of `agents` walkers spread over an `n`-node graph.
-fn spread_start(i: u32, agents: u32, n: u32) -> NodeId {
-    NodeId::new(i * (n / agents) % n)
-}
-
-/// One engine run of `agents` EXPLO walkers to completion, with behaviors
-/// stored *inline* as [`BehaviorSlot`]s: the built-in walker enum-dispatches
-/// with no per-agent box and no vtable call. Identical workload to
-/// [`explo_walk_boxed`] — the pair isolates the dispatch/storage cost.
-fn explo_walk_slot(g: &Graph, uxs: &Arc<Uxs>, agents: u32, scratch: &mut EngineScratch) {
-    let n = g.node_count() as u32;
-    let mut engine: Engine<'_, Static, BehaviorSlot> = Engine::with_parts(g, &Static);
-    for i in 0..agents {
-        engine.add_agent(
-            label(u64::from(i) + 1),
-            spread_start(i, agents, n),
-            BehaviorSlot::explo(Arc::clone(uxs)),
-        );
-    }
-    engine.set_wake_schedule(WakeSchedule::Simultaneous);
-    let limit = Explo::duration(uxs) + 2;
-    black_box(engine.run_with_scratch(limit, scratch).unwrap());
-}
-
-/// The identical EXPLO workload through the historical storage: one
-/// `Box<dyn AgentBehavior>` per agent, a vtable call per agent per round.
-fn explo_walk_boxed(g: &Graph, uxs: &Arc<Uxs>, agents: u32, scratch: &mut EngineScratch) {
-    let n = g.node_count() as u32;
-    let mut engine = Engine::new(g);
-    for i in 0..agents {
-        engine.add_agent(
-            label(u64::from(i) + 1),
-            spread_start(i, agents, n),
-            Box::new(ProcBehavior::mapping(Explo::new(Arc::clone(uxs)), |_| {
-                Declaration::bare()
-            })),
-        );
-    }
-    engine.set_wake_schedule(WakeSchedule::Simultaneous);
-    let limit = Explo::duration(uxs) + 2;
-    black_box(engine.run_with_scratch(limit, scratch).unwrap());
-}
-
 /// Workload sizes: full measurement vs the one-iteration `--test` mode CI
 /// uses for the schema check.
 struct Scale {
@@ -187,9 +141,6 @@ struct Scale {
     bfs_n: u32,
     engine_rounds: u64,
     short_runs: u64,
-    /// Steps of the pseudorandom sequence driving the dispatch-pair EXPLO
-    /// walkers (one run = `2 * explo_steps + 1` rounds).
-    explo_steps: usize,
     /// Per-instance evaluation budget of the hunt fork/scratch pair.
     hunt_budget: u64,
     iters: u64,
@@ -200,7 +151,6 @@ const FULL: Scale = Scale {
     bfs_n: 1024,
     engine_rounds: 100_000,
     short_runs: 256,
-    explo_steps: 8192,
     hunt_budget: 16,
     iters: 10,
 };
@@ -210,7 +160,6 @@ const QUICK: Scale = Scale {
     bfs_n: 64,
     engine_rounds: 1_000,
     short_runs: 8,
-    explo_steps: 64,
     hunt_budget: 4,
     iters: 1,
 };
@@ -284,30 +233,6 @@ fn round_loop(c: &mut Criterion) {
     group.bench_function("mixed_wait_walk/a8", |b| {
         let mut scratch = EngineScratch::new();
         b.iter(|| engine_mixed_wait_walk(&g, s.engine_rounds, &mut scratch))
-    });
-    // The dispatch pair: the identical EXPLO workload stored as inline
-    // enum slots vs one box per agent. The pair isolates the
-    // dispatch/storage axis of the data-oriented agent arena: the enum
-    // replaces the per-agent vtable chase with a jump table and removes
-    // the per-agent heap allocation entirely (behavior state lives inline
-    // in the arena). On hardware with good indirect-branch prediction the
-    // per-round times come out close — the honest reading is that the
-    // slot storage wins structurally (zero boxes, one contiguous arena)
-    // at per-round dispatch parity; the pair keeps that claim measured
-    // rather than assumed.
-    // An uncertified pseudorandom sequence is fine here: EXPLO is only a
-    // walk driver for the dispatch measurement, and a long sequence keeps
-    // engine setup (arena growth, validation) amortized into noise.
-    let uxs = Arc::new(Uxs::pseudorandom(s.explo_steps, 7));
-    let explo_rounds = Explo::duration(&uxs) + 1;
-    group.throughput(Throughput::Elements(explo_rounds * 8));
-    group.bench_function("walkers_enum_dispatch/8", |b| {
-        let mut scratch = EngineScratch::new();
-        b.iter(|| explo_walk_slot(&g, &uxs, 8, &mut scratch))
-    });
-    group.bench_function("walkers_box_dispatch/8", |b| {
-        let mut scratch = EngineScratch::new();
-        b.iter(|| explo_walk_boxed(&g, &uxs, 8, &mut scratch))
     });
     // Many short runs: the regime where per-run allocations dominated
     // before `run_with_scratch` existed.
@@ -501,8 +426,6 @@ fn emit_trajectory(quick: bool) {
     let s = scale();
     let g = traversal_graph(s.bfs_n);
     let ring = generators::ring(32);
-    let uxs = Arc::new(Uxs::pseudorandom(s.explo_steps, 7));
-    let explo_rounds = Explo::duration(&uxs) + 1;
     let mut scratch = EngineScratch::new();
     let entries = [
         measure(
@@ -576,22 +499,6 @@ fn emit_trajectory(quick: bool) {
                     engine_walk(&ring, 8, 64, Sensing::Weak, &mut scratch);
                 }
             },
-        ),
-        measure(
-            "round_loop/walkers_enum_dispatch/a8",
-            explo_rounds,
-            "agent_rounds",
-            explo_rounds * 8,
-            s.iters,
-            || explo_walk_slot(&ring, &uxs, 8, &mut scratch),
-        ),
-        measure(
-            "round_loop/walkers_box_dispatch/a8",
-            explo_rounds,
-            "agent_rounds",
-            explo_rounds * 8,
-            s.iters,
-            || explo_walk_boxed(&ring, &uxs, 8, &mut scratch),
         ),
         {
             let cfg = campaign_instance();

@@ -1,23 +1,19 @@
 //! Convenience runners wiring configurations, parameters and behaviors into
 //! the engine — used by tests, examples and the benchmark harness.
-//!
-//! Every runner here builds its engine over [`BehaviorSlot`] storage: the
-//! built-in algorithm stack lives inline in the agent arena and
-//! enum-dispatches, with no per-agent `Box` and no vtable call per round.
 
 use std::sync::{Arc, Mutex};
 
 use nochatter_graph::{InitialConfiguration, Label};
+use nochatter_sim::proc::{ProcBehavior, Procedure};
 use nochatter_sim::{
-    ActiveRun, Engine, EngineScratch, FaultSpec, RunCheckpoint, RunOutcome, Sensing, SimError,
-    SpecView, Static, Topology, TopologySpec, WakeSchedule,
+    ActiveRun, AgentBehavior, Declaration, Engine, EngineScratch, FaultSpec, RunCheckpoint,
+    RunOutcome, Sensing, SimError, SpecView, Static, Topology, TopologySpec, WakeSchedule,
 };
 
 use crate::codec::BitStr;
 use crate::gossip::{GossipKnownUpperBound, GossipReport};
-use crate::known::CommMode;
+use crate::known::{CommMode, GatherKnownUpperBound};
 use crate::params::KnownParams;
-use crate::slot::BehaviorSlot;
 
 /// Bundled parameters for known-upper-bound runs.
 #[derive(Clone, Debug)]
@@ -52,6 +48,31 @@ fn sensing_for(mode: CommMode) -> Sensing {
         CommMode::Silent => Sensing::Weak,
         CommMode::Talking => Sensing::Traditional,
     }
+}
+
+/// One known-upper-bound gatherer, boxed for the engine.
+fn known_gather(params: &KnownParams, label: Label, mode: CommMode) -> Box<dyn AgentBehavior> {
+    Box::new(GatherKnownUpperBound::with_mode(params.clone(), label, mode).into_behavior())
+}
+
+/// Boxes `proc_` as an agent that, on completion, stores its whole output
+/// in `sink` and declares `declare(&output)`. This is how the gossip and
+/// unknown-bound runners get their rich reports out of the engine: the
+/// declaration carries only what the model lets an agent announce (leader,
+/// size), the sink the whole transcript. The behavior keeps the default
+/// [`AgentBehavior::clone_box`] and so never forks: a fork would share one
+/// sink between two runs and cross-wire their reports.
+pub(crate) fn reporting<P: Procedure + 'static>(
+    proc_: P,
+    sink: &Arc<Mutex<Option<P::Output>>>,
+    declare: fn(&P::Output) -> Declaration,
+) -> Box<dyn AgentBehavior> {
+    let sink = Arc::clone(sink);
+    Box::new(ProcBehavior::mapping(proc_, move |out| {
+        let declaration = declare(&out);
+        *sink.lock().expect("sink poisoned") = Some(out);
+        declaration
+    }))
 }
 
 /// Runs `GatherKnownUpperBound` for every agent of `cfg` under the given
@@ -136,15 +157,14 @@ struct KnownRun<'a> {
 /// The one engine-wiring path behind every known-upper-bound runner,
 /// monomorphized over the topology: the [`Static`] instantiation is the
 /// fault-free pre-dynamic hot path, and one [`nochatter_sim::SpecView`]
-/// instantiation covers every round-varying provider. Agents are stored as
-/// [`BehaviorSlot::KnownGather`] — inline, enum-dispatched, unboxed.
+/// instantiation covers every round-varying provider.
 fn run_known_view<T: Topology>(
     cfg: &InitialConfiguration,
     run: KnownRun<'_>,
     topology: &T,
     scratch: &mut EngineScratch,
 ) -> Result<RunOutcome, SimError> {
-    let mut engine: Engine<'_, T::View, BehaviorSlot> = Engine::with_parts(cfg.graph(), topology);
+    let mut engine = Engine::with_topology(cfg.graph(), topology);
     engine.set_sensing(sensing_for(run.mode));
     engine.set_faults(run.fault.clone());
     if let Some(capacity) = run.trace_capacity {
@@ -154,7 +174,7 @@ fn run_known_view<T: Topology>(
         engine.add_agent(
             label,
             start,
-            BehaviorSlot::known_gather(run.setup.params.clone(), label, run.mode),
+            known_gather(&run.setup.params, label, run.mode),
         );
     }
     engine.set_wake_schedule(run.schedule);
@@ -330,7 +350,7 @@ pub fn run_scenario_batch_with_scratch(
 /// (the caller derives that bound from the specs — see the divergence-round
 /// computation in `nochatter-lab`'s search module).
 pub struct ScenarioCheckpoint {
-    cp: RunCheckpoint<BehaviorSlot>,
+    cp: RunCheckpoint,
 }
 
 impl ScenarioCheckpoint {
@@ -358,7 +378,7 @@ impl ScenarioCheckpoint {
 /// [`Static`] one, so outcomes stay bitwise identical to
 /// [`run_scenario_with_scratch`]'s.
 pub struct ScenarioRun<'g> {
-    run: ActiveRun<'g, SpecView, BehaviorSlot>,
+    run: ActiveRun<'g, SpecView>,
 }
 
 impl<'g> ScenarioRun<'g> {
@@ -379,19 +399,14 @@ impl<'g> ScenarioRun<'g> {
         setup: &KnownSetup,
         scratch: &mut EngineScratch,
     ) -> Result<Self, SimError> {
-        let mut engine: Engine<'g, SpecView, BehaviorSlot> =
-            Engine::with_parts(s.cfg.graph(), &s.topo);
+        let mut engine = Engine::with_topology(s.cfg.graph(), &s.topo);
         engine.set_sensing(sensing_for(s.mode));
         engine.set_faults(s.fault.clone());
         if let Some(capacity) = s.trace_capacity {
             engine.record_trace(capacity);
         }
         for &(label, node) in s.cfg.agents() {
-            engine.add_agent(
-                label,
-                node,
-                BehaviorSlot::known_gather(setup.params.clone(), label, s.mode),
-            );
+            engine.add_agent(label, node, known_gather(&setup.params, label, s.mode));
         }
         engine.set_wake_schedule(s.schedule.clone());
         let limit = setup.params.round_limit(s.cfg.smallest_label_bit_len());
@@ -424,8 +439,7 @@ impl<'g> ScenarioRun<'g> {
     }
 
     /// Snapshots the run at the current round boundary; `None` if any
-    /// behavior declines to fork (see
-    /// [`nochatter_sim::ForkableBehavior`]).
+    /// behavior declines to fork (see [`AgentBehavior::clone_box`]).
     pub fn checkpoint(&self) -> Option<ScenarioCheckpoint> {
         self.run.checkpoint().map(|cp| ScenarioCheckpoint { cp })
     }
@@ -461,7 +475,7 @@ pub fn run_gossip_outcome(
         cfg.agent_count(),
         "one message per agent required"
     );
-    let mut engine: Engine<'_, Static, BehaviorSlot> = Engine::with_parts(cfg.graph(), &Static);
+    let mut engine = Engine::new(cfg.graph());
     engine.set_sensing(sensing_for(mode));
     let sinks: Vec<(Label, Arc<Mutex<Option<GossipReport>>>)> = cfg
         .agents()
@@ -479,7 +493,9 @@ pub fn run_gossip_outcome(
         engine.add_agent(
             label,
             start,
-            BehaviorSlot::gossip(proc_, Arc::clone(&sinks[idx].1)),
+            reporting(proc_, &sinks[idx].1, |report| {
+                Declaration::with_leader(report.leader)
+            }),
         );
     }
     engine.set_wake_schedule(schedule);
@@ -558,7 +574,7 @@ pub fn run_gossip_unknown(
     // with every agent's position oracle is a pointer clone, not a graph
     // copy per run.
     let graph = cfg.graph_arc();
-    let mut engine: Engine<'_, Static, BehaviorSlot> = Engine::with_parts(cfg.graph(), &Static);
+    let mut engine = Engine::new(cfg.graph());
     let sinks: Vec<(
         Label,
         Arc<Mutex<Option<crate::gossip::UnknownGossipReport>>>,
@@ -584,9 +600,13 @@ pub fn run_gossip_unknown(
         engine.add_agent(
             label,
             start,
-            BehaviorSlot::unknown_gossip(
+            reporting(
                 GossipUnknownUpperBound::new(gather, payload),
-                Arc::clone(&sinks[idx].1),
+                &sinks[idx].1,
+                |report| Declaration {
+                    leader: Some(report.gathering.leader),
+                    size: Some(report.gathering.size),
+                },
             ),
         );
     }

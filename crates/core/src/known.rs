@@ -31,7 +31,7 @@ use nochatter_explore::Explo;
 use nochatter_graph::Label;
 use nochatter_rendezvous::Tz;
 use nochatter_sim::proc::{ProcBehavior, Procedure, RunFor, WaitRounds};
-use nochatter_sim::{Action, Declaration, Obs, Poll};
+use nochatter_sim::{Action, AgentAct, AgentBehavior, Declaration, Obs, Poll};
 
 use crate::codec::BitStr;
 use crate::communicate::Communicate;
@@ -94,7 +94,7 @@ enum Stage {
 /// let g = generators::ring(5);
 /// let params = KnownParams::for_corpus(6, std::slice::from_ref(&g), 0);
 /// let proc_ = GatherKnownUpperBound::silent(params, Label::new(7).unwrap());
-/// let behavior = proc_.into_behavior(); // ready for Engine::add_agent
+/// let behavior = Box::new(proc_.into_behavior()); // ready for Engine::add_agent
 /// # let _ = behavior;
 /// ```
 #[derive(Clone, Debug)]
@@ -143,8 +143,8 @@ impl GatherKnownUpperBound {
     }
 
     /// Wraps into an engine behavior declaring the elected leader.
-    pub fn into_behavior(self) -> ProcBehavior<Self, fn(Label) -> Declaration> {
-        ProcBehavior::mapping(self, Declaration::with_leader)
+    pub fn into_behavior(self) -> KnownGatherBehavior {
+        KnownGatherBehavior(ProcBehavior::mapping(self, Declaration::with_leader))
     }
 
     /// Computes `Communicate`'s return string instantly from co-located
@@ -362,6 +362,30 @@ impl Procedure for GatherKnownUpperBound {
             Stage::Stabilize1 | Stage::Stabilize2 => {}
             _ => debug_assert_eq!(rounds, 0),
         }
+    }
+}
+
+/// [`GatherKnownUpperBound`] as an engine behavior: declares the elected
+/// leader, and forks mid-run ([`AgentBehavior::clone_box`]) so the
+/// adversary search can checkpoint its runs and resume them.
+#[derive(Clone)]
+pub struct KnownGatherBehavior(ProcBehavior<GatherKnownUpperBound, fn(Label) -> Declaration>);
+
+impl AgentBehavior for KnownGatherBehavior {
+    fn on_round(&mut self, obs: &Obs) -> AgentAct {
+        self.0.on_round(obs)
+    }
+
+    fn min_wait(&self) -> u64 {
+        self.0.min_wait()
+    }
+
+    fn note_skipped(&mut self, rounds: u64) {
+        self.0.note_skipped(rounds)
+    }
+
+    fn clone_box(&self) -> Option<Box<dyn AgentBehavior>> {
+        Some(Box::new(self.clone()))
     }
 }
 

@@ -59,7 +59,6 @@ mod communicate;
 mod gossip;
 mod known;
 mod params;
-mod slot;
 
 pub mod harness;
 pub mod unknown;
@@ -71,7 +70,6 @@ pub use gossip::{
     UnknownGossipReport,
 };
 pub use harness::KnownSetup;
-pub use known::{CommMode, GatherKnownUpperBound};
+pub use known::{CommMode, GatherKnownUpperBound, KnownGatherBehavior};
 pub use params::KnownParams;
-pub use slot::{BehaviorSlot, SinkBehavior};
 pub use unknown::GatherUnknownUpperBound;

@@ -7,14 +7,18 @@
 #[path = "../../sim/tests/common/interpreter.rs"]
 mod interpreter;
 
-use nochatter_core::{harness, BehaviorSlot, CommMode, KnownSetup};
+use nochatter_core::{harness, CommMode, GatherKnownUpperBound, KnownSetup};
 use nochatter_graph::dynamic::{DynamicRing, SeededEdgeFailure, Topology};
 use nochatter_graph::{generators, Graph, InitialConfiguration, Label, NodeId};
-use nochatter_sim::{CrashPoint, FaultSpec, Sensing, Static, TopologySpec, WakeSchedule};
+use nochatter_sim::{
+    AgentBehavior, CrashPoint, FaultSpec, Sensing, Static, TopologySpec, WakeSchedule,
+};
 
 use interpreter::{interpret, Model, Reference};
 
 const TRACE_CAPACITY: usize = 1 << 16;
+
+type Team = Vec<(Label, NodeId, Box<dyn AgentBehavior>)>;
 
 fn config(graph: Graph, team: &[(u64, u32)]) -> InitialConfiguration {
     let agents = team
@@ -45,18 +49,18 @@ fn reference(
         trace_capacity: TRACE_CAPACITY,
         max_rounds: setup.params().round_limit(cfg.smallest_label_bit_len()),
     };
-    let team: Vec<(Label, NodeId, BehaviorSlot)> = cfg
+    let team: Team = cfg
         .agents()
         .iter()
         .map(|&(label, node)| {
-            let behavior = BehaviorSlot::known_gather(setup.params().clone(), label, mode);
-            (label, node, behavior)
+            let gatherer = GatherKnownUpperBound::with_mode(setup.params().clone(), label, mode);
+            (label, node, Box::new(gatherer.into_behavior()) as _)
         })
         .collect();
     fn go<T: Topology>(
         cfg: &InitialConfiguration,
         topology: &T,
-        team: Vec<(Label, NodeId, BehaviorSlot)>,
+        team: Team,
         model: &Model,
     ) -> Reference {
         interpret(cfg.graph(), topology, team, model)

@@ -79,48 +79,21 @@ pub trait AgentBehavior {
     /// A boxed copy of the behavior's *current* state, or `None` if the
     /// behavior cannot be duplicated mid-run.
     ///
-    /// This is the escape hatch that lets run checkpointing
-    /// ([`crate::RunCheckpoint`]) work through the open
-    /// `Box<dyn AgentBehavior>` extension point: a behavior that opts in
-    /// returns a fresh box whose subsequent `on_round`s are
-    /// indistinguishable from the original's. The default declines, which
-    /// makes checkpointing unavailable (callers fall back to from-scratch
+    /// Run checkpointing ([`crate::RunCheckpoint`]) forks every agent
+    /// through this method. A behavior that opts in returns a fresh box
+    /// whose every future `on_round`/`min_wait`/`note_skipped` answer is
+    /// identical to the original's. The default declines, which makes
+    /// checkpointing unavailable (callers fall back to from-scratch
     /// evaluation) rather than subtly wrong.
     fn clone_box(&self) -> Option<Box<dyn AgentBehavior>> {
         None
     }
 }
 
-/// A behavior whose mid-run state can be duplicated — the storage-level
-/// capability behind [`crate::ActiveRun::checkpoint`].
-///
-/// Unlike plain [`Clone`], forking is *fallible*: the boxed extension
-/// point implements it by asking the underlying behavior for
-/// [`AgentBehavior::clone_box`], which defaults to declining. A `Some`
-/// fork must be behaviorally indistinguishable from the original — every
-/// future `on_round`/`min_wait`/`note_skipped` answer identical — or
-/// checkpoint/resume determinism breaks.
-pub trait ForkableBehavior: AgentBehavior + Sized {
-    /// A copy of the behavior's current state, or `None` if this behavior
-    /// cannot be duplicated.
-    fn fork(&self) -> Option<Self>;
-}
-
-impl ForkableBehavior for Box<dyn AgentBehavior> {
-    fn fork(&self) -> Option<Self> {
-        (**self).clone_box()
-    }
-}
-
-impl<B: AgentBehavior + Clone> ForkableBehavior for Box<B> {
-    fn fork(&self) -> Option<Self> {
-        Some(self.clone())
-    }
-}
-
-/// Boxed behaviors delegate — this is what lets the engine's generic
-/// behavior storage default to `Box<dyn AgentBehavior>` (the open
-/// extension point) while enum storage dispatches without a vtable.
+/// Boxed behaviors delegate, `clone_box` included, so a forkable behavior
+/// boxed once more still forks. The engine itself stores every agent as a
+/// `Box<dyn AgentBehavior>`; this impl serves code generic over
+/// `B: AgentBehavior` that is handed such boxes.
 impl<T: AgentBehavior + ?Sized> AgentBehavior for Box<T> {
     fn on_round(&mut self, obs: &Obs) -> AgentAct {
         (**self).on_round(obs)
@@ -132,6 +105,10 @@ impl<T: AgentBehavior + ?Sized> AgentBehavior for Box<T> {
 
     fn note_skipped(&mut self, rounds: u64) {
         (**self).note_skipped(rounds)
+    }
+
+    fn clone_box(&self) -> Option<Box<dyn AgentBehavior>> {
+        (**self).clone_box()
     }
 }
 
@@ -261,5 +238,30 @@ mod tests {
     fn min_wait_forwards() {
         let b = ProcBehavior::declaring(WaitRounds::new(5));
         assert_eq!(b.min_wait(), 5);
+    }
+
+    #[test]
+    fn double_boxed_behavior_still_forks() {
+        #[derive(Clone)]
+        struct Countdown(u64);
+        impl AgentBehavior for Countdown {
+            fn on_round(&mut self, _obs: &Obs) -> AgentAct {
+                self.0 = self.0.saturating_sub(1);
+                AgentAct::Wait
+            }
+            fn min_wait(&self) -> u64 {
+                self.0
+            }
+            fn clone_box(&self) -> Option<Box<dyn AgentBehavior>> {
+                Some(Box::new(self.clone()))
+            }
+        }
+        let mut b: Box<dyn AgentBehavior> = Box::new(Box::new(Countdown(3)));
+        b.on_round(&Obs::synthetic(0, 1, 1, None));
+        let fork = b.clone_box().expect("the inner behavior forks");
+        assert_eq!(fork.min_wait(), 2);
+        assert!(Box::new(ProcBehavior::declaring(WaitRounds::new(1)))
+            .clone_box()
+            .is_none());
     }
 }

@@ -3,7 +3,7 @@
 use nochatter_graph::dynamic::{Static, Topology, TopologyView};
 use nochatter_graph::{Graph, Label, NodeId, Port};
 
-use crate::behavior::{AgentAct, AgentBehavior, ForkableBehavior};
+use crate::behavior::{AgentAct, AgentBehavior};
 use crate::error::SimError;
 use crate::fault::FaultSpec;
 use crate::obs::Obs;
@@ -75,12 +75,9 @@ impl AgentPhase {
 /// The round loop touches the small per-agent scalars (phase, position,
 /// wake/crash rounds) far more often than the behavior state machines, so
 /// each field lives in its own contiguous array instead of one
-/// array-of-structs row per agent. Behaviors are stored *inline* in their
-/// own vector — generic over `B`, so the built-in algorithm stack
-/// enum-dispatches with no per-agent `Box` and no vtable call — while
-/// `B = Box<dyn AgentBehavior>` (the default) keeps the open extension
-/// point.
-struct AgentArena<B> {
+/// array-of-structs row per agent. Behaviors sit in their own vector, one
+/// `Box<dyn AgentBehavior>` per agent.
+struct AgentArena {
     labels: Vec<Label>,
     pos: Vec<NodeId>,
     phase: Vec<AgentPhase>,
@@ -92,10 +89,10 @@ struct AgentArena<B> {
     adversary_wake: Vec<u64>,
     /// Resolved crash round (`u64::MAX` = never); cleared once applied.
     crash_round: Vec<u64>,
-    behaviors: Vec<B>,
+    behaviors: Vec<Box<dyn AgentBehavior>>,
 }
 
-impl<B> AgentArena<B> {
+impl AgentArena {
     fn new() -> Self {
         AgentArena {
             labels: Vec::new(),
@@ -118,7 +115,7 @@ impl<B> AgentArena<B> {
         self.labels.is_empty()
     }
 
-    fn push(&mut self, label: Label, start: NodeId, behavior: B) {
+    fn push(&mut self, label: Label, start: NodeId, behavior: Box<dyn AgentBehavior>) {
         self.labels.push(label);
         self.pos.push(start);
         self.phase.push(AgentPhase::Dormant);
@@ -141,9 +138,8 @@ impl<B> AgentArena<B> {
 /// The scratch carries no semantic state between runs: every entry a run
 /// reads it has written earlier in the same round. Reusing one scratch
 /// across graphs of different sizes, after failed runs, across sensing
-/// modes or across engines with different behavior storage types is
-/// always safe — [`Engine::run`] and [`Engine::run_with_scratch`] produce
-/// bitwise identical [`RunOutcome`]s.
+/// modes or across topologies is always safe — [`Engine::run`] and
+/// [`Engine::run_with_scratch`] produce bitwise identical [`RunOutcome`]s.
 #[derive(Default)]
 pub struct EngineScratch {
     /// This round's actions, co-indexed with the engine's agents.
@@ -196,22 +192,18 @@ struct RunStats {
 /// wake schedule and sensing mode, then [`Engine::run`]. The engine is fully
 /// deterministic: identical inputs produce identical runs, bit for bit.
 ///
-/// The engine is generic along two axes:
+/// The engine is generic over a [`TopologyView`] `V`: every round, move
+/// resolution consults the view before traversing an edge, so the same
+/// loop executes static networks and round-varying ones (periodic outages,
+/// seeded edge failures, the dynamic-ring adversary — see
+/// [`nochatter_graph::dynamic`]). The default [`Static`] view answers a
+/// constant `true` that the optimizer folds away. An agent taking a port
+/// whose edge is absent this round stays put, keeps its entry port, and
+/// sees `blocked: true` in its next [`Obs`].
 ///
-/// * a [`TopologyView`] `V`: every round, move resolution consults the view
-///   before traversing an edge, so the same loop executes static networks
-///   and round-varying ones (periodic outages, seeded edge failures, the
-///   dynamic-ring adversary — see [`nochatter_graph::dynamic`]). The
-///   default [`Static`] view answers a constant `true` that the optimizer
-///   folds away. An agent taking a port whose edge is absent this round
-///   stays put, keeps its entry port, and sees `blocked: true` in its next
-///   [`Obs`].
-/// * a behavior storage type `B`: agents live in a struct-of-arrays arena
-///   with their behaviors stored inline in a `Vec<B>`. The default
-///   `B = Box<dyn AgentBehavior>` is the open extension point (exactly the
-///   historical engine); instantiating `B` with an enum such as
-///   `nochatter_core`'s `BehaviorSlot` dispatches the whole built-in
-///   algorithm stack without a heap allocation or vtable call per agent.
+/// Agents live in a struct-of-arrays arena; each agent's behavior is one
+/// `Box<dyn AgentBehavior>`, the open extension point every algorithm
+/// (built-in or not) plugs into.
 ///
 /// Agent lifecycle is the explicit [`AgentPhase`] state machine, and the
 /// optional [`FaultSpec`] crash adversary ([`Engine::set_faults`]) can move
@@ -219,10 +211,10 @@ struct RunStats {
 /// bodies keep counting toward `CurCard`.
 ///
 /// See the [crate docs](crate) for a complete example.
-pub struct Engine<'g, V: TopologyView = Static, B: AgentBehavior = Box<dyn AgentBehavior>> {
+pub struct Engine<'g, V: TopologyView = Static> {
     graph: &'g Graph,
     view: V,
-    agents: AgentArena<B>,
+    agents: AgentArena,
     schedule: WakeSchedule,
     sensing: Sensing,
     faults: FaultSpec,
@@ -231,7 +223,7 @@ pub struct Engine<'g, V: TopologyView = Static, B: AgentBehavior = Box<dyn Agent
 
 impl<'g> Engine<'g> {
     /// A fresh engine over the static `graph` with no agents, simultaneous
-    /// wake-up, weak sensing, boxed behaviors and no faults.
+    /// wake-up, weak sensing and no faults.
     pub fn new(graph: &'g Graph) -> Self {
         Engine::with_topology(graph, &Static)
     }
@@ -240,19 +232,8 @@ impl<'g> Engine<'g> {
 impl<'g, V: TopologyView> Engine<'g, V> {
     /// A fresh engine over `graph` under a round-varying topology: the
     /// provider's [`TopologyView`] decides, per round, which edges of the
-    /// base graph are present. Behaviors are boxed (the open extension
-    /// point); use [`Engine::with_parts`] to choose the storage type too.
+    /// base graph are present.
     pub fn with_topology<T: Topology<View = V>>(graph: &'g Graph, topology: &T) -> Self {
-        Engine::with_parts(graph, topology)
-    }
-}
-
-impl<'g, V: TopologyView, B: AgentBehavior> Engine<'g, V, B> {
-    /// The fully generic constructor: choose the round-varying topology
-    /// *and* the behavior storage type `B`. `nochatter_core` instantiates
-    /// `B` with its `BehaviorSlot` enum so the built-in algorithm stack
-    /// runs without per-agent boxing.
-    pub fn with_parts<T: Topology<View = V>>(graph: &'g Graph, topology: &T) -> Self {
         Engine {
             graph,
             view: topology.view(graph),
@@ -265,7 +246,7 @@ impl<'g, V: TopologyView, B: AgentBehavior> Engine<'g, V, B> {
     }
 
     /// Adds an agent with the given label, start node and behavior.
-    pub fn add_agent(&mut self, label: Label, start: NodeId, behavior: B) {
+    pub fn add_agent(&mut self, label: Label, start: NodeId, behavior: Box<dyn AgentBehavior>) {
         self.agents.push(label, start, behavior);
     }
 
@@ -517,8 +498,8 @@ struct SparseState {
 /// on resume); everything else is derived: worklists from the phases,
 /// occupancy from the positions, event lists from the wake/crash columns
 /// (stale entries — already woken or fired — are skipped by the cursors).
-fn build_sparse<B>(
-    agents: &AgentArena<B>,
+fn build_sparse(
+    agents: &AgentArena,
     node_count: usize,
     bucket_occupants: bool,
     parked_at: Vec<u64>,
@@ -603,7 +584,7 @@ impl SparseState {
     /// whose observation is known identical to the one it parked on). The
     /// caller is responsible for bucket removal when it drained the bucket
     /// itself.
-    fn unpark<B: AgentBehavior>(&mut self, agents: &mut AgentArena<B>, i: u32, round: u64) {
+    fn unpark(&mut self, agents: &mut AgentArena, i: u32, round: u64) {
         let iu = i as usize;
         debug_assert!(self.parked_at[iu] != u64::MAX);
         let behind = round - 1 - self.parked_at[iu];
@@ -630,10 +611,10 @@ impl SparseState {
 /// fast-forward's parked-agent catch-up. The caller accounts the poll and
 /// resolves the phase transition.
 #[allow(clippy::too_many_arguments)]
-fn poll_agent<B: AgentBehavior>(
+fn poll_agent(
     graph: &Graph,
     sensing: Sensing,
-    agents: &mut AgentArena<B>,
+    agents: &mut AgentArena,
     card: &[u32],
     occupants: &[Vec<Label>],
     label_buf: &mut Vec<Label>,
@@ -691,13 +672,13 @@ enum SparseStep {
 /// terminates. [`Engine::run_with_scratch`] is a trivial `begin`/`step`
 /// driver.
 ///
-/// When the behavior storage is forkable ([`ForkableBehavior`]), a run can
+/// When every behavior forks ([`AgentBehavior::clone_box`]), a run can
 /// additionally be snapshotted mid-flight ([`ActiveRun::checkpoint`]) and
 /// another run over the *same graph and team* fast-started from the
 /// snapshot ([`ActiveRun::resume_from`]) — the mechanism behind the
 /// adversary search's prefix-sharing incremental evaluation.
-pub struct ActiveRun<'g, V: TopologyView, B: AgentBehavior> {
-    engine: Engine<'g, V, B>,
+pub struct ActiveRun<'g, V: TopologyView> {
+    engine: Engine<'g, V>,
     trace: Option<Trace>,
     stats: RunStats,
     /// Crash machinery is engaged only while some resolved crash is still
@@ -731,13 +712,13 @@ pub struct ActiveRun<'g, V: TopologyView, B: AgentBehavior> {
 /// one adversary spec a valid starting point for a run under a *different*
 /// spec, provided both specs agree on every round before
 /// [`RunCheckpoint::round`] (see [`ActiveRun::resume_from`]).
-pub struct RunCheckpoint<B> {
+pub struct RunCheckpoint {
     pos: Vec<NodeId>,
     phase: Vec<AgentPhase>,
     just_woken: Vec<bool>,
     entry_port: Vec<Option<Port>>,
     declared: Vec<Option<DeclarationRecord>>,
-    behaviors: Vec<B>,
+    behaviors: Vec<Box<dyn AgentBehavior>>,
     stats: RunStats,
     trace: Option<Trace>,
     /// Park state, captured verbatim so a resumed run re-polls exactly
@@ -751,7 +732,7 @@ pub struct RunCheckpoint<B> {
     round: u64,
 }
 
-impl<B> RunCheckpoint<B> {
+impl RunCheckpoint {
     /// The round the checkpointed run would simulate next — the first
     /// round a resumed run executes.
     pub fn round(&self) -> u64 {
@@ -766,10 +747,10 @@ impl<B> RunCheckpoint<B> {
     }
 }
 
-impl<'g, V: TopologyView, B: AgentBehavior> ActiveRun<'g, V, B> {
+impl<'g, V: TopologyView> ActiveRun<'g, V> {
     /// Validates the engine's setup and prepares the run for stepping.
     pub fn begin(
-        mut engine: Engine<'g, V, B>,
+        mut engine: Engine<'g, V>,
         max_rounds: u64,
         scratch: &mut EngineScratch,
     ) -> Result<Self, SimError> {
@@ -1299,18 +1280,16 @@ impl<'g, V: TopologyView, B: AgentBehavior> ActiveRun<'g, V, B> {
             trace: self.trace.take(),
         }
     }
-}
 
-impl<'g, V: TopologyView, B: ForkableBehavior> ActiveRun<'g, V, B> {
     /// Snapshots the run's full mutable state at the current round
     /// boundary (just before the round [`ActiveRun::next_round`] would
     /// simulate).
     ///
     /// Returns `None` if the run has already terminated (its
     /// result-bearing columns are gone) or if any behavior declines to
-    /// fork ([`ForkableBehavior::fork`]). A checkpoint at round 0, resumed
+    /// fork ([`AgentBehavior::clone_box`]). A checkpoint at round 0, resumed
     /// into a freshly begun run, reproduces that run exactly.
-    pub fn checkpoint(&self) -> Option<RunCheckpoint<B>> {
+    pub fn checkpoint(&self) -> Option<RunCheckpoint> {
         // `finish` takes the result-bearing columns out of the arena; a
         // terminated run has nothing coherent left to snapshot.
         if self.engine.agents.pos.len() != self.engine.agents.labels.len()
@@ -1323,8 +1302,8 @@ impl<'g, V: TopologyView, B: ForkableBehavior> ActiveRun<'g, V, B> {
             .agents
             .behaviors
             .iter()
-            .map(ForkableBehavior::fork)
-            .collect::<Option<Vec<B>>>()?;
+            .map(|b| b.clone_box())
+            .collect::<Option<Vec<_>>>()?;
         // Park state is captured verbatim, so a resumed run re-polls
         // exactly when this run would have.
         Some(RunCheckpoint {
@@ -1367,7 +1346,7 @@ impl<'g, V: TopologyView, B: ForkableBehavior> ActiveRun<'g, V, B> {
     /// differently. Callers (the adversary search) enforce this by
     /// deriving a conservative *divergence round* from the two specs and
     /// only resuming from checkpoints at or below it.
-    pub fn resume_from(&mut self, cp: &RunCheckpoint<B>) -> bool {
+    pub fn resume_from(&mut self, cp: &RunCheckpoint) -> bool {
         let k = self.engine.agents.len();
         if cp.pos.len() != k || cp.behaviors.len() != k {
             return false;
@@ -1375,8 +1354,8 @@ impl<'g, V: TopologyView, B: ForkableBehavior> ActiveRun<'g, V, B> {
         let Some(behaviors) = cp
             .behaviors
             .iter()
-            .map(ForkableBehavior::fork)
-            .collect::<Option<Vec<B>>>()
+            .map(|b| b.clone_box())
+            .collect::<Option<Vec<_>>>()
         else {
             return false;
         };

@@ -29,10 +29,9 @@
 //!
 //! Agents live in a data-oriented arena: struct-of-arrays storage, an
 //! explicit [`AgentPhase`] lifecycle state machine (`Dormant → Active ⇄
-//! Blocked → Declared | Crashed`), and a behavior storage type parameter
-//! whose default `Box<dyn AgentBehavior>` is the open extension point
-//! (`nochatter_core`'s `BehaviorSlot` instantiates it with an enum so the
-//! built-in algorithm stack runs unboxed). The optional [`FaultSpec`]
+//! Blocked → Declared | Crashed`), and one `Box<dyn AgentBehavior>` per
+//! agent — the built-in algorithm stack and user-defined behaviors go
+//! through the same open trait. The optional [`FaultSpec`]
 //! crash adversary kills agents mid-run: a crashed agent stops acting, but
 //! its body keeps counting toward `CurCard` — under weak sensing the
 //! survivors cannot tell a corpse from a waiting companion.
@@ -74,7 +73,7 @@ mod trace;
 
 pub mod proc;
 
-pub use behavior::{AgentAct, AgentBehavior, Declaration, ForkableBehavior};
+pub use behavior::{AgentAct, AgentBehavior, Declaration};
 pub use engine::{ActiveRun, AgentPhase, Engine, EngineScratch, RunCheckpoint, Sensing};
 pub use error::SimError;
 pub use fault::{CrashPoint, FaultError, FaultSpec, SEEDED_CRASH_HORIZON};

@@ -26,8 +26,8 @@ use nochatter_sim::proc::{
     ProcBehavior, Procedure, RunFor, UntilCardExceeds, WaitCardStable, WaitRounds,
 };
 use nochatter_sim::{
-    Action, AgentBehavior, CrashPoint, Declaration, Engine, FaultSpec, Obs, Poll, RunOutcome,
-    Sensing, Static, TopologySpec, WakeSchedule,
+    Action, AgentAct, AgentBehavior, CrashPoint, Declaration, Engine, FaultSpec, Obs, Poll,
+    RunOutcome, Sensing, Static, TopologySpec, WakeSchedule,
 };
 
 use interpreter::{interpret, Model};
@@ -456,9 +456,8 @@ fn staggered_wake_fires_during_quiescence() {
 // Checkpoint/resume mid-wait.
 // ---------------------------------------------------------------------------
 
-/// A cloneable seeded walker (forkable, unlike the boxed-dyn mix above):
-/// the engine's checkpoint machinery requires behaviors that can be
-/// duplicated mid-run.
+/// A cloneable seeded walker: the engine's checkpoint machinery forks
+/// behaviors mid-run, so the checkpointed team must be duplicable.
 #[derive(Clone)]
 struct CloneWalker {
     rng: Rng,
@@ -482,73 +481,67 @@ impl Procedure for CloneWalker {
     }
 }
 
-/// One concrete, cloneable behavior type covering the whole mix (the
-/// engine's behavior storage must unify on a single `B` for `Box<B>` to be
-/// forkable via `Clone`).
+/// Opts a cloneable behavior into forking: the default
+/// [`AgentBehavior::clone_box`] declines.
 #[derive(Clone)]
-enum MixedProc {
-    Walk(CloneWalker),
-    Idle(WaitRounds),
-    Card(UntilCardExceeds<WaitRounds>),
-}
+struct Forkable<B>(B);
 
-impl Procedure for MixedProc {
-    type Output = u32;
-    fn poll(&mut self, obs: &Obs) -> Poll<u32> {
-        match self {
-            MixedProc::Walk(p) => p.poll(obs),
-            MixedProc::Idle(p) => p.poll(obs).map(|()| 0),
-            MixedProc::Card(p) => p.poll(obs).map(|out| out.was_interrupted() as u32),
-        }
+impl<B: AgentBehavior + Clone + 'static> AgentBehavior for Forkable<B> {
+    fn on_round(&mut self, obs: &Obs) -> AgentAct {
+        self.0.on_round(obs)
     }
     fn min_wait(&self) -> u64 {
-        match self {
-            MixedProc::Walk(p) => p.min_wait(),
-            MixedProc::Idle(p) => p.min_wait(),
-            MixedProc::Card(p) => p.min_wait(),
-        }
+        self.0.min_wait()
     }
     fn note_skipped(&mut self, rounds: u64) {
-        match self {
-            MixedProc::Walk(p) => p.note_skipped(rounds),
-            MixedProc::Idle(p) => p.note_skipped(rounds),
-            MixedProc::Card(p) => p.note_skipped(rounds),
-        }
+        self.0.note_skipped(rounds)
+    }
+    fn clone_box(&self) -> Option<Box<dyn AgentBehavior>> {
+        Some(Box::new(self.clone()))
     }
 }
 
-type ForkableMix = Box<ProcBehavior<MixedProc, fn(u32) -> Declaration>>;
-
-fn forkable_team() -> Vec<(Label, NodeId, ForkableMix)> {
-    let procs = [
-        MixedProc::Walk(CloneWalker {
-            rng: Rng::seed_from(11),
-            steps: 30,
-        }),
-        MixedProc::Idle(WaitRounds::new(60)),
-        MixedProc::Idle(WaitRounds::new(75)),
-        MixedProc::Card(UntilCardExceeds::new(1, WaitRounds::new(300))),
+/// A walker, two long waiters and a `CurCard` watcher. With `forkable`
+/// off, the watcher keeps the default `clone_box` and so declines to fork.
+fn checkpoint_team(forkable: bool) -> Team {
+    let walker = CloneWalker {
+        rng: Rng::seed_from(11),
+        steps: 30,
+    };
+    let watcher = ProcBehavior::mapping(UntilCardExceeds::new(1, WaitRounds::new(300)), |out| {
+        declare(out.was_interrupted() as u32)
+    });
+    let behaviors: [Box<dyn AgentBehavior>; 4] = [
+        Box::new(Forkable(ProcBehavior::mapping(walker, declare))),
+        Box::new(Forkable(ProcBehavior::mapping(WaitRounds::new(60), |()| {
+            declare(0)
+        }))),
+        Box::new(Forkable(ProcBehavior::mapping(WaitRounds::new(75), |()| {
+            declare(0)
+        }))),
+        if forkable {
+            Box::new(Forkable(watcher))
+        } else {
+            Box::new(watcher)
+        },
     ];
-    procs
+    behaviors
         .into_iter()
         .enumerate()
-        .map(|(i, proc_)| {
+        .map(|(i, behavior)| {
             (
                 Label::new(i as u64 + 1).unwrap(),
                 NodeId::new(i as u32 * 2),
-                Box::new(ProcBehavior::mapping(
-                    proc_,
-                    declare as fn(u32) -> Declaration,
-                )),
+                behavior,
             )
         })
         .collect()
 }
 
-fn forkable_engine(graph: &Graph) -> Engine<'_, Static, ForkableMix> {
-    let mut engine: Engine<'_, Static, ForkableMix> = Engine::with_parts(graph, &Static);
+fn checkpoint_engine(graph: &Graph, forkable: bool) -> Engine<'_> {
+    let mut engine = Engine::new(graph);
     engine.record_trace(1 << 12);
-    for (label, start, behavior) in forkable_team() {
+    for (label, start, behavior) in checkpoint_team(forkable) {
         engine.add_agent(label, start, behavior);
     }
     engine
@@ -563,10 +556,10 @@ fn mid_wait_checkpoint_resumes_like_a_fresh_run() {
 
     let graph = Family::Ring.instantiate(9, 4);
     let mut scratch = EngineScratch::new();
-    let fresh = forkable_engine(&graph)
+    let fresh = checkpoint_engine(&graph, true)
         .run_with_scratch(500, &mut scratch)
         .unwrap();
-    let mut donor = ActiveRun::begin(forkable_engine(&graph), 500, &mut scratch).unwrap();
+    let mut donor = ActiveRun::begin(checkpoint_engine(&graph, true), 500, &mut scratch).unwrap();
     // Step into the thick of the waits: the two `WaitRounds` agents are
     // parked by round 12.
     while donor.next_round() < 12 {
@@ -576,7 +569,7 @@ fn mid_wait_checkpoint_resumes_like_a_fresh_run() {
         );
     }
     let cp = donor.checkpoint().expect("forkable behaviors snapshot");
-    let mut resumed = ActiveRun::begin(forkable_engine(&graph), 500, &mut scratch).unwrap();
+    let mut resumed = ActiveRun::begin(checkpoint_engine(&graph, true), 500, &mut scratch).unwrap();
     assert!(resumed.resume_from(&cp), "shapes match, behaviors fork");
     let outcome = loop {
         if let Some(result) = resumed.step(&mut scratch) {
@@ -584,7 +577,44 @@ fn mid_wait_checkpoint_resumes_like_a_fresh_run() {
         }
     };
     assert_eq!(format!("{outcome:?}"), format!("{fresh:?}"));
-    let reference = interpret(&graph, &Static, forkable_team(), &plain_model(1 << 12));
+    let reference = interpret(
+        &graph,
+        &Static,
+        checkpoint_team(true),
+        &plain_model(1 << 12),
+    );
+    assert_eq!(reference.check(&fresh), Ok(()));
+}
+
+/// One agent that keeps the default `clone_box` makes every mid-run
+/// checkpoint `None`, and asking for one leaves the run untouched: it
+/// still steps to the outcome of an uninterrupted run.
+#[test]
+fn declining_agent_blocks_checkpoints_without_disturbing_the_run() {
+    use nochatter_sim::{ActiveRun, EngineScratch};
+
+    let graph = Family::Ring.instantiate(9, 4);
+    let mut scratch = EngineScratch::new();
+    let fresh = checkpoint_engine(&graph, false)
+        .run_with_scratch(500, &mut scratch)
+        .unwrap();
+    let mut run = ActiveRun::begin(checkpoint_engine(&graph, false), 500, &mut scratch).unwrap();
+    let mut asked_mid_wait = false;
+    let outcome = loop {
+        assert!(run.checkpoint().is_none(), "the watcher declines to fork");
+        asked_mid_wait |= run.next_round() >= 12;
+        if let Some(result) = run.step(&mut scratch) {
+            break result.unwrap();
+        }
+    };
+    assert!(asked_mid_wait, "checkpoints were asked for mid-wait");
+    assert_eq!(format!("{outcome:?}"), format!("{fresh:?}"));
+    let reference = interpret(
+        &graph,
+        &Static,
+        checkpoint_team(false),
+        &plain_model(1 << 12),
+    );
     assert_eq!(reference.check(&fresh), Ok(()));
 }
 
